@@ -31,31 +31,12 @@ type ctx = {
   res : Msrlt.restore_side;
   r : Xdr.rbuf;
   stats : Cstats.restore;
-  elems_cache : (string, Layout.elems) Hashtbl.t;
-  tplan_cache : (string, Tplan.t) Hashtbl.t;
+  plans : Tplan.cache;
 }
-
-let elems_of ctx (ty : Ty.t) : Layout.elems =
-  let key = Ty.to_string ty in
-  match Hashtbl.find_opt ctx.elems_cache key with
-  | Some e -> e
-  | None ->
-      let e = Layout.elems ctx.interp.Interp.mem.Mem.layout ty in
-      Hashtbl.add ctx.elems_cache key e;
-      e
-
-let tplan_of ctx (ty : Ty.t) : Tplan.t =
-  let key = Ty.to_string ty in
-  match Hashtbl.find_opt ctx.tplan_cache key with
-  | Some p -> p
-  | None ->
-      let p = Tplan.build ctx.interp.Interp.mem.Mem.layout (elems_of ctx ty) in
-      Hashtbl.add ctx.tplan_cache key p;
-      p
 
 (* (mi_id, ordinal) → destination address. *)
 let addr_of ctx (block : Mem.block) ord : int64 =
-  let elems = elems_of ctx block.Mem.ty in
+  let elems = Tplan.elems ctx.plans block.Mem.ty in
   let n = Layout.elem_count elems in
   if ord = n then Int64.add block.Mem.base (Int64.of_int block.Mem.size)
   else if ord >= 0 && ord < n then
@@ -152,7 +133,7 @@ and restore_block ctx : Mem.block =
   Msrlt.bind ctx.res mi_id block;
   ctx.stats.Cstats.r_blocks <- ctx.stats.Cstats.r_blocks + 1;
   ctx.stats.Cstats.r_data_bytes <- ctx.stats.Cstats.r_data_bytes + block.Mem.size;
-  let plan = tplan_of ctx block.Mem.ty in
+  let plan = Tplan.plan ctx.plans block.Mem.ty in
   let mem = ctx.interp.Interp.mem in
   Array.iter
     (fun seg ->
@@ -207,8 +188,7 @@ let restore ?expect_epoch (prog : Ir.prog) (arch : Hpm_arch.Arch.t) (ti : Ti.t)
       res = Msrlt.restorer ();
       r;
       stats = Cstats.restore_zero ();
-      elems_cache = Hashtbl.create 32;
-      tplan_cache = Hashtbl.create 32;
+      plans = Tplan.cache interp.Interp.mem.Mem.layout;
     }
   in
   (* frame metadata, top-down in the stream; build bottom-up *)

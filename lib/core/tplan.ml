@@ -10,8 +10,9 @@
     cost is the traversal, not the dispatch.
 
     Plans depend only on the machine's layout and the type, never on
-    block contents, so collect/restore/snapshot contexts cache them by
-    [Ty.to_string] exactly like their {!Hpm_lang.Layout.elems} caches. *)
+    block contents, so every block walk — collection and its snapshot
+    handler, restore, materialize, verify — memoizes them together with
+    the type's {!Hpm_lang.Layout.elems} in one {!cache}. *)
 
 open Hpm_lang
 open Hpm_xdr
@@ -73,3 +74,27 @@ let build (layout : Layout.t) (elems : Layout.elems) : t =
     prim_fields = !fields;
     prim_wire_bytes = !wire;
   }
+
+(** A per-walk memo of each block type's element table and plan, keyed
+    by [Ty.to_string].  Build one per walk, not per program: heap arrays
+    of many distinct lengths would grow a longer-lived one without
+    bound. *)
+type cache = { layout : Layout.t; tbl : (string, Layout.elems * t) Hashtbl.t }
+
+let cache (layout : Layout.t) : cache = { layout; tbl = Hashtbl.create 32 }
+
+let lookup (c : cache) (ty : Ty.t) : Layout.elems * t =
+  let key = Ty.to_string ty in
+  match Hashtbl.find_opt c.tbl key with
+  | Some ep -> ep
+  | None ->
+      let e = Layout.elems c.layout ty in
+      let ep = (e, build c.layout e) in
+      Hashtbl.add c.tbl key ep;
+      ep
+
+(** The element table of [ty]. *)
+let elems c ty = fst (lookup c ty)
+
+(** The translation plan of [ty]. *)
+let plan c ty = snd (lookup c ty)

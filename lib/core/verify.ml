@@ -46,11 +46,11 @@ let pp_block ppf (b : Mem.block) =
 
 (* A data pointer must land in a live block at an element boundary, or
    exactly one past the end (legal C). *)
-let check_data_ptr (interp : Interp.t) (b : Mem.block) ord addr =
+let check_data_ptr (interp : Interp.t) plans (b : Mem.block) ord addr =
   let mem = interp.Interp.mem in
   let boundary_of (dst : Mem.block) =
     let off = Int64.to_int (Int64.sub addr dst.Mem.base) in
-    let elems = Layout.elems mem.Mem.layout dst.Mem.ty in
+    let elems = Tplan.elems plans dst.Mem.ty in
     if off = dst.Mem.size then true
     else Layout.ordinal_of_byte elems off <> None
   in
@@ -69,7 +69,7 @@ let check_data_ptr (interp : Interp.t) (b : Mem.block) ord addr =
           violation "%a element %d holds 0x%Lx, which is not inside any live block"
             pp_block b ord addr)
 
-let check_block (interp : Interp.t) (ti : Ti.t) acc (b : Mem.block) =
+let check_block (interp : Interp.t) (ti : Ti.t) plans acc (b : Mem.block) =
   let blocks, pointers, edges = acc in
   (* type tag must round-trip through the TI wire encoding *)
   (match Ti.encode_block_ty ti b.Mem.ty with
@@ -83,40 +83,30 @@ let check_block (interp : Interp.t) (ti : Ti.t) acc (b : Mem.block) =
       | exception Invalid_argument m ->
           violation "%a: type tag does not decode (%s)" pp_block b m));
   let mem = interp.Interp.mem in
-  let elems = Layout.elems mem.Mem.layout b.Mem.ty in
-  let n = Layout.elem_count elems in
   let pointers = ref pointers and edges = ref edges in
-  for ord = 0 to n - 1 do
-    let kind = Layout.kind_of_ordinal elems ord in
-    let off = Layout.byte_of_ordinal elems ord in
-    match kind with
-    | Ty.KPtr _ -> (
-        incr pointers;
-        match Mem.load_scalar mem b off kind with
-        | Mem.Vptr 0L -> ()
-        | Mem.Vptr addr when Interp.is_func_addr interp.Interp.prog addr ->
-            (* a data slot holding a code address: collection would encode
-               it as a function reference, which resolves — accept it *)
-            incr edges
-        | Mem.Vptr addr ->
-            check_data_ptr interp b ord addr;
-            incr edges
-        | v ->
-            violation "%a element %d holds non-pointer value %a" pp_block b ord
-              Mem.pp_value v)
-    | Ty.KFunc _ -> (
-        incr pointers;
-        match Mem.load_scalar mem b off kind with
-        | Mem.Vptr 0L -> ()
-        | Mem.Vptr addr when Interp.is_func_addr interp.Interp.prog addr -> ()
-        | Mem.Vptr addr ->
-            violation "%a element %d holds 0x%Lx, not a function address" pp_block b ord
-              addr
-        | v ->
-            violation "%a element %d holds non-pointer value %a" pp_block b ord
-              Mem.pp_value v)
-    | _ -> ()
-  done;
+  Array.iter
+    (function
+      | Tplan.Prims _ -> ()
+      | Tplan.Ptr { ord; off; kind } -> (
+          incr pointers;
+          match (kind, Mem.load_scalar mem b off kind) with
+          | _, Mem.Vptr 0L -> ()
+          | Ty.KPtr _, Mem.Vptr addr when Interp.is_func_addr interp.Interp.prog addr ->
+              (* a data slot holding a code address: collection would
+                 encode it as a function reference, which resolves —
+                 accept it *)
+              incr edges
+          | Ty.KPtr _, Mem.Vptr addr ->
+              check_data_ptr interp plans b ord addr;
+              incr edges
+          | _, Mem.Vptr addr when Interp.is_func_addr interp.Interp.prog addr -> ()
+          | _, Mem.Vptr addr ->
+              violation "%a element %d holds 0x%Lx, not a function address" pp_block b ord
+                addr
+          | _, v ->
+              violation "%a element %d holds non-pointer value %a" pp_block b ord
+                Mem.pp_value v))
+    (Tplan.plan plans b.Mem.ty).Tplan.segs;
   (blocks + 1, !pointers, !edges)
 
 (** Check the restored process image.  Returns the counts on success.
@@ -124,7 +114,9 @@ let check_block (interp : Interp.t) (ti : Ti.t) acc (b : Mem.block) =
 let check (interp : Interp.t) (ti : Ti.t) : report =
   let blocks = Mem.live_blocks interp.Interp.mem in
   let v_blocks, v_pointers, v_edges =
-    List.fold_left (check_block interp ti) (0, 0, 0) blocks
+    List.fold_left
+      (check_block interp ti (Tplan.cache interp.Interp.mem.Mem.layout))
+      (0, 0, 0) blocks
   in
   (* orphan check: every heap block must be reachable from the roots *)
   let g = Graph.snapshot interp in

@@ -28,7 +28,7 @@ type collect_side = {
       (** write mark of the previous collection epoch; blocks whose write
           generation is newer are dirty.  [-1] (the default) marks every
           block dirty — a full collection. *)
-  mutable scanned : int;       (** blocks examined for dirtiness *)
+  mutable scanned : int;       (** blocks visited, each checked for dirtiness *)
   mutable dirty : int;         (** of those, blocks written since [since] *)
 }
 

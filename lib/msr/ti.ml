@@ -8,12 +8,11 @@
     pre-distributed migratable source — assign identical type ids and can
     name types across the wire by index.
 
-    Each entry carries the type, its flattened scalar-element view, and a
-    per-architecture cache of {!Hpm_lang.Layout.elems} (ordinal ↔ byte
-    offset maps).  The paper's per-type "memory block saving and restoring
-    functions" correspond to {!Hpm_core.Collect}/[Restore] walking these
-    element tables; building them here once per (type, arch) is the moral
-    equivalent of generating the functions at compile time. *)
+    Each entry carries the type and its flattened scalar-element view.
+    The paper's per-type "memory block saving and restoring functions"
+    correspond to the per-(arch, type) translation plans
+    ([Hpm_core.Tplan]) that every block walk compiles from the layout's
+    element table of a block type and memoizes for the walk. *)
 
 open Hpm_lang
 open Hpm_ir
@@ -30,8 +29,6 @@ type t = {
   tenv : Ty.tenv;
   entries : entry array;
   by_key : (string, entry) Hashtbl.t;
-  (* (arch name, tid) -> elems cache *)
-  elems_cache : (string * int, Layout.elems) Hashtbl.t;
 }
 
 let entry_count t = Array.length t.entries
@@ -49,17 +46,6 @@ let by_tid t tid =
   if tid < 0 || tid >= Array.length t.entries then
     invalid_arg (Printf.sprintf "Ti.by_tid: invalid type id %d" tid)
   else t.entries.(tid)
-
-(** Element table of [ty] under [arch]'s layout, cached. *)
-let elems t (arch : Hpm_arch.Arch.t) (entry : entry) : Layout.elems =
-  let key = (arch.Hpm_arch.Arch.name, entry.tid) in
-  match Hashtbl.find_opt t.elems_cache key with
-  | Some e -> e
-  | None ->
-      let layout = Layout.make arch t.tenv in
-      let e = Layout.elems layout entry.ty in
-      Hashtbl.add t.elems_cache key e;
-      e
 
 (* Deterministic enumeration: collect types in program order. *)
 let collect_types (prog : Ir.prog) : Ty.t list =
@@ -121,7 +107,7 @@ let build (prog : Ir.prog) : t =
   in
   let by_key = Hashtbl.create (Array.length entries) in
   Array.iter (fun e -> Hashtbl.replace by_key e.key e) entries;
-  { tenv = prog.Ir.tenv; entries; by_key; elems_cache = Hashtbl.create 32 }
+  { tenv = prog.Ir.tenv; entries; by_key }
 
 (** Wire encoding of a block type: (tid, count).  Fixed-size arrays whose
     element type is in the table are sent as (element tid, length) so heap

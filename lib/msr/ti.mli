@@ -1,9 +1,10 @@
 (** The Type Information (TI) table: one entry per type that can describe
     a memory block or scalar element, numbered deterministically from the
     program text so both endpoints of a migration agree on type ids.
-    Carries each type's flattened element view and per-architecture
-    element-table caches — the moral equivalent of the paper's generated
-    per-type saving/restoring functions. *)
+    Carries each type's flattened element view.  The per-(arch, type)
+    translation plans that every block walk compiles ([Hpm_core.Tplan])
+    are the moral equivalent of the paper's generated per-type
+    saving/restoring functions. *)
 
 open Hpm_lang
 
@@ -19,7 +20,6 @@ type t = {
   tenv : Ty.tenv;
   entries : entry array;
   by_key : (string, entry) Hashtbl.t;
-  elems_cache : (string * int, Layout.elems) Hashtbl.t;
 }
 
 (** Build the table for a lowered program: scalars first (stable primitive
@@ -35,9 +35,6 @@ val find_exn : t -> Ty.t -> entry
 
 (** @raise Invalid_argument on out-of-range ids (corrupted streams). *)
 val by_tid : t -> int -> entry
-
-(** Cached ordinal↔byte element table of an entry under an architecture. *)
-val elems : t -> Hpm_arch.Arch.t -> entry -> Layout.elems
 
 (** Wire encoding of a block type as (tid, count): arrays whose element
     type is in the table travel as (element tid, length), so heap blocks

@@ -96,7 +96,7 @@ module Metrics = struct
        "MSRLT mi_id->block bindings performed during restoration (the \
         MSRLT_update term of section 4.2)");
       ("hpm_msrlt_blocks_scanned_total", Counter,
-       "blocks examined for dirtiness by incremental collectors");
+       "blocks visited by collection walks (all dirty in a full collection)");
       ("hpm_msrlt_blocks_dirty_total", Counter,
        "of the scanned blocks, those written since the previous epoch");
       ("hpm_collect_blocks_total", Counter, "memory blocks collected");

@@ -1,10 +1,10 @@
 (** Chunked, incremental checkpoint collection — and its inverse.
 
-    {!collect} performs {e exactly} the depth-first traversal of
-    {!Hpm_core.Collect.collect} (same roots in the same order, same
-    first-visit mi_id assignment, same one-past-the-end pointer handling),
-    but instead of one monolithic stream it produces a {!Store.manifest}
-    plus one content-addressed chunk per block.  {!materialize} replays
+    {!collect} is the second handler of {!Hpm_core.Collect.walk}, the
+    one collection walk whose first handler writes the v2 stream: same
+    roots in the same order, same first-visit mi_id assignment, same
+    pointer resolution.  Instead of one monolithic stream it produces a
+    {!Store.manifest} plus one content-addressed chunk per block.  {!materialize} replays
     the traversal from the manifest and reconstructs the monolithic v2
     stream {e byte for byte}, so the stock {!Hpm_core.Restore} consumes
     checkpoints from the store with no new restore path.
@@ -60,222 +60,124 @@ let new_cache () = { mark = -1; entries = Hashtbl.create 64 }
 (* Collection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type cctx = {
-  interp : Interp.t;
-  ti : Ti.t;
-  col : Msrlt.collect_side;
-  cache : cache option;
-  chunks : (string, string) Hashtbl.t;  (** hash → freshly-built payload *)
-  binfos : (int, Store.binfo) Hashtbl.t;  (** mi_id → entry, filled post-order *)
-  stats : Cstats.delta;
-  elems_cache : (string, Layout.elems) Hashtbl.t;
-  tplan_cache : (string, Tplan.t) Hashtbl.t;
-  scratch : Buffer.t;
-      (** reused across payload builds: [Buffer.clear] keeps the storage,
-          so steady-state serialization allocates only the payload string *)
-}
+(* A block entered but not yet left: its mi_id and the datums of its
+   pointer elements so far, newest first. *)
+type open_block = { ob_id : int; mutable ob_datums : Store.datum list }
 
-let elems_of ctx (ty : Ty.t) : Layout.elems =
-  let key = Ty.to_string ty in
-  match Hashtbl.find_opt ctx.elems_cache key with
-  | Some e -> e
-  | None ->
-      let e = Layout.elems ctx.interp.Interp.mem.Mem.layout ty in
-      Hashtbl.add ctx.elems_cache key e;
-      e
-
-let tplan_of ctx (ty : Ty.t) : Tplan.t =
-  let key = Ty.to_string ty in
-  match Hashtbl.find_opt ctx.tplan_cache key with
-  | Some p -> p
-  | None ->
-      let p = Tplan.build ctx.interp.Interp.mem.Mem.layout (elems_of ctx ty) in
-      Hashtbl.add ctx.tplan_cache key p;
-      p
-
-let ordinal_at ctx (block : Mem.block) (addr : int64) : int =
-  let off = Int64.to_int (Int64.sub addr block.Mem.base) in
-  let elems = elems_of ctx block.Mem.ty in
-  if off = block.Mem.size then Layout.elem_count elems
-  else
-    match Layout.ordinal_of_byte elems off with
-    | Some o -> o
-    | None ->
-        Store.corrupt "pointer 0x%Lx lands at byte %d of block #%d, not an element boundary"
-          addr off block.Mem.bid
-
-(* Address → block, with Collect.save_ptr's one-past-the-end retry. *)
-let search_block ctx (addr : int64) : Mem.block =
-  try Msrlt.search ctx.col addr
-  with Mem.Fault m -> (
-    match Msrlt.search ctx.col (Int64.sub addr 1L) with
-    | b when Int64.equal addr (Int64.add b.Mem.base (Int64.of_int b.Mem.size)) -> b
-    | _ -> Store.err "collection reached a bad pointer: %s" m
-    | exception Mem.Fault _ -> Store.err "collection reached a bad pointer: %s" m)
-
-(* Visit [block] first: assign its mi_id, walk its pointer elements in
-   ordinal order (recursing into unvisited targets immediately, exactly
-   like Collect.save_ptr), then decide whether the cached payload is
-   still valid; serialize + hash only on a miss.  Returns the mi_id. *)
-let rec visit_block ctx (block : Mem.block) : int =
-  let id = Msrlt.register ctx.col block in
-  ignore (Msrlt.note_dirty ctx.col block : bool);
-  ctx.stats.Cstats.d_data_bytes <- ctx.stats.Cstats.d_data_bytes + block.Mem.size;
-  let elems = elems_of ctx block.Mem.ty in
-  let n = Layout.elem_count elems in
-  let mem = ctx.interp.Interp.mem in
-  (* pointer datums by ordinal, and outgoing deps in walk order *)
-  let datums = Array.make n Store.Dnull in
-  let deps = ref [] in
-  for ord = 0 to n - 1 do
-    let kind = Layout.kind_of_ordinal elems ord in
-    match kind with
-    | Ty.KPtr _ | Ty.KFunc _ -> (
-        let off = Layout.byte_of_ordinal elems ord in
-        match Mem.load_scalar mem block off kind with
-        | Mem.Vptr 0L -> datums.(ord) <- Store.Dnull
-        | Mem.Vptr addr when Interp.is_func_addr ctx.interp.Interp.prog addr ->
-            datums.(ord) <-
-              Store.Dfunc (Int64.to_int (Int64.div (Int64.sub addr Interp.text_base) 64L))
-        | Mem.Vptr addr ->
-            let target = search_block ctx addr in
-            let tord = ordinal_at ctx target addr in
-            (match Msrlt.lookup ctx.col target with
-            | Some _ -> ()
-            | None -> ignore (visit_block ctx target : int));
-            deps := target.Mem.bid :: !deps;
-            datums.(ord) <- Store.Dref (target.Mem.bid, tord)
-        | v -> Store.err "pointer element holds %s" (Fmt.str "%a" Mem.pp_value v))
-    | _ -> ()
-  done;
-  let deps = List.rev !deps in
-  let cached =
-    match ctx.cache with
-    | None -> None
-    | Some c -> (
-        match Hashtbl.find_opt c.entries block.Mem.bid with
-        | Some ce when ce.ce_wgen = block.Mem.wgen && ce.ce_deps = deps -> Some ce
-        | _ -> None)
-  in
-  let hash, size =
-    match cached with
-    | Some ce ->
-        ctx.stats.Cstats.d_cache_hits <- ctx.stats.Cstats.d_cache_hits + 1;
-        (ce.ce_hash, ce.ce_size)
-    | None ->
-        (* the serialize phase never recurses (the traversal above already
-           visited every target), so one shared scratch buffer is safe *)
-        let b = ctx.scratch in
-        Buffer.clear b;
-        let plan = tplan_of ctx block.Mem.ty in
-        Array.iter
-          (fun seg ->
-            match seg with
-            | Tplan.Prims p -> Batch.encode p b block.Mem.bytes
-            | Tplan.Ptr { ord; _ } -> (
-                match datums.(ord) with
-                | Store.Dnull -> Xdr.put_u8 b Stream.tag_null
-                | Store.Dref (bid, tord) ->
-                    Xdr.put_u8 b Stream.tag_ref;
-                    Xdr.put_int_as_i32 b bid;
-                    Xdr.put_int_as_i32 b tord
-                | Store.Dfunc i ->
-                    Xdr.put_u8 b Stream.tag_func;
-                    Xdr.put_int_as_i32 b i))
-          plan.Tplan.segs;
-        let payload = Buffer.contents b in
-        let hash = Digest.string payload in
-        Hashtbl.replace ctx.chunks hash payload;
-        (match ctx.cache with
-        | Some c ->
-            Hashtbl.replace c.entries block.Mem.bid
-              {
-                ce_wgen = block.Mem.wgen;
-                ce_hash = hash;
-                ce_size = String.length payload;
-                ce_deps = deps;
-              }
-        | None -> ());
-        (hash, String.length payload)
-  in
-  let tid, count = Ti.encode_block_ty ctx.ti block.Mem.ty in
-  Hashtbl.replace ctx.binfos id
-    {
-      Store.b_ident = block.Mem.ident;
-      b_bid = block.Mem.bid;
-      b_tid = tid;
-      b_count = count;
-      b_size = size;
-      b_hash = hash;
-    };
-  id
-
-(* A collection root: Collect.save_variable without the stream. *)
-let root_datum ctx (block : Mem.block) : Store.datum =
-  (match Msrlt.lookup ctx.col block with
-  | Some _ -> ()
-  | None -> ignore (visit_block ctx block : int));
-  Store.Dref (block.Mem.bid, 0)
+let datum_of (t : Collect.target) : Store.datum =
+  match t with
+  | Collect.Null -> Store.Dnull
+  | Collect.Func i -> Store.Dfunc i
+  | Collect.Seen (b, _, ord) | Collect.Fresh (b, ord) -> Store.Dref (b.Mem.bid, ord)
 
 (** Collect the suspended process [interp] into a manifest plus a table
     of freshly-serialized chunk payloads (cache-reused blocks appear in
-    the manifest but not in the table).  With [cache], only blocks whose
-    write generation or outgoing ids changed are re-encoded; the cache's
-    mark is advanced to the current {!Mem.write_mark}.
-    @raise Collect.Error unless suspended at a poll-point *)
+    the manifest but not in the table).  This is a handler of
+    {!Collect.walk}: it records each block's pointer datums by target
+    bid, and when the walk leaves the block it reuses the cached payload
+    hash if the write generation and the outgoing bids are unchanged, or
+    serializes and hashes the block otherwise.  The cache's mark is
+    advanced to the current {!Mem.write_mark}.
+    @raise Collect.Error unless suspended at a poll-point, or on a
+    dangling, wild or misaligned pointer *)
 let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t) :
     Store.manifest * (string, string) Hashtbl.t * Cstats.delta =
-  let since = match cache with Some c -> c.mark | None -> -1 in
-  let ctx =
+  let w = Collect.start ~since:(match cache with Some c -> c.mark | None -> -1) interp in
+  let chunks = Hashtbl.create 64 (* hash → freshly-built payload *) in
+  let binfos = Hashtbl.create 64 (* mi_id → entry, filled post-order *) in
+  let stats = Cstats.delta_zero () in
+  (* reused across payload builds: [Buffer.clear] keeps the storage, so
+     steady-state serialization allocates only the payload string *)
+  let scratch = Buffer.create 4096 in
+  let opened = ref [] and groups = ref [] in
+  let leave (block : Mem.block) _ =
+    let ob = List.hd !opened in
+    opened := List.tl !opened;
+    let datums = List.rev ob.ob_datums in
+    let deps = List.filter_map (function Store.Dref (bid, _) -> Some bid | _ -> None) datums in
+    let cached =
+      match cache with
+      | None -> None
+      | Some c -> (
+          match Hashtbl.find_opt c.entries block.Mem.bid with
+          | Some ce when ce.ce_wgen = block.Mem.wgen && ce.ce_deps = deps -> Some ce
+          | _ -> None)
+    in
+    let hash, size =
+      match cached with
+      | Some ce ->
+          stats.Cstats.d_cache_hits <- stats.Cstats.d_cache_hits + 1;
+          (ce.ce_hash, ce.ce_size)
+      | None ->
+          let b = scratch in
+          Buffer.clear b;
+          let rest = ref datums in
+          Array.iter
+            (fun seg ->
+              match seg with
+              | Tplan.Prims p -> Batch.encode p b block.Mem.bytes
+              | Tplan.Ptr _ -> (
+                  let d = List.hd !rest in
+                  rest := List.tl !rest;
+                  match d with
+                  | Store.Dnull -> Xdr.put_u8 b Stream.tag_null
+                  | Store.Dref (bid, tord) ->
+                      Xdr.put_u8 b Stream.tag_ref;
+                      Xdr.put_int_as_i32 b bid;
+                      Xdr.put_int_as_i32 b tord
+                  | Store.Dfunc i ->
+                      Xdr.put_u8 b Stream.tag_func;
+                      Xdr.put_int_as_i32 b i))
+            (Tplan.plan w.Collect.plans block.Mem.ty).Tplan.segs;
+          let payload = Buffer.contents b in
+          let hash = Digest.string payload in
+          Hashtbl.replace chunks hash payload;
+          (match cache with
+          | Some c ->
+              Hashtbl.replace c.entries block.Mem.bid
+                {
+                  ce_wgen = block.Mem.wgen;
+                  ce_hash = hash;
+                  ce_size = String.length payload;
+                  ce_deps = deps;
+                }
+          | None -> ());
+          (hash, String.length payload)
+    in
+    let tid, count = Ti.encode_block_ty ti block.Mem.ty in
+    Hashtbl.replace binfos ob.ob_id
+      {
+        Store.b_ident = block.Mem.ident;
+        b_bid = block.Mem.bid;
+        b_tid = tid;
+        b_count = count;
+        b_size = size;
+        b_hash = hash;
+      }
+  in
+  Collect.walk w
     {
-      interp;
-      ti;
-      col = Msrlt.collector ~since interp.Interp.mem;
-      cache;
-      chunks = Hashtbl.create 64;
-      binfos = Hashtbl.create 64;
-      stats = Cstats.delta_zero ();
-      elems_cache = Hashtbl.create 32;
-      tplan_cache = Hashtbl.create 32;
-      scratch = Buffer.create 4096;
-    }
+      Collect.group = (fun _ -> groups := [] :: !groups);
+      root =
+        (fun name block ->
+          groups := ((name, Store.Dref (block.Mem.bid, 0)) :: List.hd !groups) :: List.tl !groups);
+      pointer =
+        (fun t ->
+          (* outside any block it is a root's, recorded by [root] *)
+          match !opened with [] -> () | ob :: _ -> ob.ob_datums <- datum_of t :: ob.ob_datums);
+      enter = (fun _ id -> opened := { ob_id = id; ob_datums = [] } :: !opened);
+      prims = (fun _ _ -> ());
+      leave;
+    };
+  (* root groups, newest first: the globals, then the frames bottom-up *)
+  let mf_globals, mf_live =
+    match !groups with
+    | globals :: frames -> (List.rev globals, List.rev_map List.rev frames)
+    | [] -> assert false
   in
-  let poll_id = Collect.suspended_poll_id interp in
-  let frames = Collect.live_frames interp in
-  let mf_frames =
-    List.map
-      (fun ((fr : Interp.frame), _) -> (fr.Interp.func.Ir.name, fr.Interp.block, fr.Interp.index))
-      frames
-  in
-  let mf_live =
-    List.map
-      (fun ((fr : Interp.frame), live) ->
-        List.map
-          (fun name ->
-            match Hashtbl.find_opt fr.Interp.locals name with
-            | Some block -> (name, root_datum ctx block)
-            | None ->
-                Store.err "live variable %s has no block in frame %s" name
-                  fr.Interp.func.Ir.name)
-          live)
-      frames
-  in
-  let mf_globals =
-    List.map
-      (fun (name, _, _) ->
-        match Hashtbl.find_opt interp.Interp.globals name with
-        | Some block -> (name, root_datum ctx block)
-        | None -> Store.err "global %s has no block" name)
-      interp.Interp.prog.Ir.globals
-  in
-  let mf_blocks =
-    Array.init ctx.col.Msrlt.next_id (fun id ->
-        match Hashtbl.find_opt ctx.binfos id with
-        | Some bi -> bi
-        | None -> Store.err "collection left mi_id %d undefined" id)
-  in
-  ctx.stats.Cstats.d_blocks_scanned <- ctx.col.Msrlt.scanned;
-  ctx.stats.Cstats.d_blocks_dirty <- ctx.col.Msrlt.dirty;
+  stats.Cstats.d_data_bytes <- w.Collect.stats.Cstats.c_data_bytes;
+  stats.Cstats.d_blocks_scanned <- w.Collect.col.Msrlt.scanned;
+  stats.Cstats.d_blocks_dirty <- w.Collect.col.Msrlt.dirty;
   (match cache with Some c -> c.mark <- Mem.write_mark interp.Interp.mem | None -> ());
   let mf =
     {
@@ -284,14 +186,17 @@ let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t)
       mf_src_arch = interp.Interp.arch.Hpm_arch.Arch.name;
       mf_prog_hash = Stream.prog_hash interp.Interp.prog;
       mf_rng_state = Rng.get_state interp.Interp.rng;
-      mf_poll_id = poll_id;
-      mf_frames;
+      mf_poll_id = w.Collect.poll_id;
+      mf_frames =
+        List.map
+          (fun (fr : Interp.frame) -> (fr.Interp.func.Ir.name, fr.Interp.block, fr.Interp.index))
+          interp.Interp.stack;
       mf_live;
       mf_globals;
-      mf_blocks;
+      mf_blocks = Array.init (Hashtbl.length binfos) (Hashtbl.find binfos);
     }
   in
-  (mf, ctx.chunks, ctx.stats)
+  (mf, chunks, stats)
 
 (* ------------------------------------------------------------------ *)
 (* Materialization                                                     *)
@@ -307,17 +212,7 @@ let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t)
 let materialize ~(ti : Ti.t) ~(lookup : string -> string) (mf : Store.manifest) : string =
   (* Chunk payloads use canonical widths, so any layout yields the same
      element-kind sequence; use a fixed one rather than the source's. *)
-  let layout = Layout.make Hpm_arch.Arch.ultra5 ti.Ti.tenv in
-  let elems_cache = Hashtbl.create 32 in
-  let elems_of ty =
-    let key = Ty.to_string ty in
-    match Hashtbl.find_opt elems_cache key with
-    | Some e -> e
-    | None ->
-        let e = Layout.elems layout ty in
-        Hashtbl.add elems_cache key e;
-        e
-  in
+  let plans = Tplan.cache (Layout.make Hpm_arch.Arch.ultra5 ti.Ti.tenv) in
   let nblocks = Array.length mf.Store.mf_blocks in
   let emitted = Array.make nblocks false in
   let bid2mi = Hashtbl.create (max 16 nblocks) in
@@ -360,30 +255,27 @@ let materialize ~(ti : Ti.t) ~(lookup : string -> string) (mf : Store.manifest) 
       try Ti.decode_block_ty ti (bi.Store.b_tid, bi.Store.b_count)
       with Invalid_argument m -> Store.corrupt "block %d has a bad type id: %s" id m
     in
-    let elems = elems_of ty in
-    let n = Layout.elem_count elems in
     let r = Xdr.reader_of_string payload in
     (try
-       for ord = 0 to n - 1 do
-         match Layout.kind_of_ordinal elems ord with
-         | Ty.KPtr _ | Ty.KFunc _ -> (
-             match Xdr.get_u8 r with
-             | t when t = Stream.tag_null -> Xdr.put_u8 buf Stream.tag_null
-             | t when t = Stream.tag_func ->
-                 Xdr.put_u8 buf Stream.tag_func;
-                 Xdr.put_int_as_i32 buf (Xdr.get_int_of_i32 r)
-             | t when t = Stream.tag_ref ->
-                 let tbid = Xdr.get_int_of_i32 r in
-                 let tord = Xdr.get_int_of_i32 r in
-                 emit_datum (Store.Dref (tbid, tord))
-             | t -> Store.corrupt "chunk of block %d has bad datum tag %d" id t)
-         | k ->
-             let w = Stream.canonical_width k in
-             if Xdr.remaining r < w then
-               Store.corrupt "chunk of block %d is short at ordinal %d" id ord;
-             Buffer.add_subbytes buf r.Xdr.data r.Xdr.pos w;
-             Xdr.skip r w
-       done
+       Array.iter
+         (function
+           | Tplan.Prims p ->
+               let w = Batch.wire_bytes p in
+               if Xdr.remaining r < w then Store.corrupt "chunk of block %d is short" id;
+               Buffer.add_subbytes buf r.Xdr.data r.Xdr.pos w;
+               Xdr.skip r w
+           | Tplan.Ptr _ -> (
+               match Xdr.get_u8 r with
+               | t when t = Stream.tag_null -> Xdr.put_u8 buf Stream.tag_null
+               | t when t = Stream.tag_func ->
+                   Xdr.put_u8 buf Stream.tag_func;
+                   Xdr.put_int_as_i32 buf (Xdr.get_int_of_i32 r)
+               | t when t = Stream.tag_ref ->
+                   let tbid = Xdr.get_int_of_i32 r in
+                   let tord = Xdr.get_int_of_i32 r in
+                   emit_datum (Store.Dref (tbid, tord))
+               | t -> Store.corrupt "chunk of block %d has bad datum tag %d" id t))
+         (Tplan.plan plans ty).Tplan.segs
      with Xdr.Underflow m -> Store.corrupt "chunk of block %d is truncated: %s" id m);
     if not (Xdr.at_end r) then
       Store.corrupt "chunk of block %d has %d trailing bytes" id (Xdr.remaining r)

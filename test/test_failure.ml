@@ -92,8 +92,13 @@ int main() {
     Migration.prepare ~strategy:Hpm_ir.Pollpoint.user_only_strategy ~lint:false src
   in
   let p, _ = suspend m Hpm_arch.Arch.ultra5 0 in
+  (* both collectors share one walk, so both report a live-memory fault,
+     never a store fault *)
   expect_raise "dangling live pointer" (function Collect.Error _ -> true | _ -> false)
-    (fun () -> Collect.collect p m.Migration.ti)
+    (fun () -> Collect.collect p m.Migration.ti);
+  expect_raise "dangling live pointer (snapshot)"
+    (function Collect.Error _ -> true | _ -> false)
+    (fun () -> Hpm_store.Snapshot.collect p m.Migration.ti)
 
 let test_dead_dangling_pointer_ok () =
   (* the same dangling pointer, dead at the poll: liveness excludes it and

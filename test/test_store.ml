@@ -71,6 +71,30 @@ let test_clean_second_epoch () =
   check_int "every block a cache hit" s2.Cstats.d_blocks_scanned s2.Cstats.d_cache_hits;
   check_int "same block count" s1.Cstats.d_blocks_scanned (Array.length mf2.Store.mf_blocks)
 
+let test_scan_metrics () =
+  (* the shared walk publishes the MSRLT scan counters for snapshots too *)
+  let m = prepare (workload "hashtab" 80) in
+  let p, _ = suspend m Hpm_arch.Arch.sparc20 1 in
+  let cache = Snapshot.new_cache () in
+  let module Obs = Hpm_obs.Obs in
+  Obs.reset ();
+  let reg = Obs.Metrics.create () in
+  Obs.set_metrics (Some reg);
+  Fun.protect ~finally:Obs.reset (fun () ->
+      let _, _, s1 = Snapshot.collect ~epoch:1 ~cache p m.Migration.ti in
+      let p =
+        match advance p 3 with Some p -> p | None -> Alcotest.fail "hashtab finished"
+      in
+      let _, _, s2 = Snapshot.collect ~epoch:2 ~cache p m.Migration.ti in
+      check_bool "some blocks clean in the second epoch" true
+        (s2.Cstats.d_blocks_dirty < s2.Cstats.d_blocks_scanned);
+      let v name = Obs.Metrics.value reg name [] in
+      let sum f = Some (float_of_int (f s1 + f s2)) in
+      check_bool "blocks_scanned_total = Σ d_blocks_scanned" true
+        (v "hpm_msrlt_blocks_scanned_total" = sum (fun s -> s.Cstats.d_blocks_scanned));
+      check_bool "blocks_dirty_total = Σ d_blocks_dirty" true
+        (v "hpm_msrlt_blocks_dirty_total" = sum (fun s -> s.Cstats.d_blocks_dirty)))
+
 (* ---------------------------------------------------------------- *)
 (* Bit-identity with the monolithic collector                        *)
 (* ---------------------------------------------------------------- *)
@@ -103,6 +127,11 @@ let test_identity () =
       ("listops", 30, Hpm_arch.Arch.sparc20, 2);
       ("hashtab", 60, Hpm_arch.Arch.i386, 1);
       ("qsort", 40, Hpm_arch.Arch.x86_64, 1);
+      (* many small blocks, as in migrate-pointer *)
+      ("bitonic", 200, Hpm_arch.Arch.sparc20, 1000);
+      (* a few huge blocks, as in migrate-bulk *)
+      ("linpack", 24, Hpm_arch.Arch.dec5000, 30);
+      ("bitonic_pooled", 200, Hpm_arch.Arch.x86_64, 600);
     ]
 
 let test_identity_with_cache_chain () =
@@ -563,6 +592,7 @@ let suite =
   [
     tc "write mark advances" test_write_mark;
     tc "clean second epoch: zero dirty, all cache hits" test_clean_second_epoch;
+    tc "snapshot epochs publish MSRLT scan counters" test_scan_metrics;
     tc "snapshot ≡ collect (bit-identity)" test_identity;
     tc "bit-identity along cached delta chains" test_identity_with_cache_chain;
     tc_slow "store round-trip preserves output (same-width pairs)" test_restore_equivalence;
