@@ -21,6 +21,7 @@
 
 open Hpm_arch
 open Hpm_core
+module Json = Hpm_obs.Json
 
 let version = 1
 let schema = "BENCH_v1"
@@ -264,7 +265,7 @@ let run_case (c : case) : entry =
             Hpm_query.Report.empty_sources with
             Hpm_query.Report.s_store = Some st;
             s_journal = Some (Hpm_store.Journal.load jpath);
-            s_trace = Some (Hpm_query.Json.parse (Obs.Trace.to_json tr));
+            s_trace = Some (Json.parse (Obs.Trace.to_json tr));
           }
         in
         let q_rows = ref 0 in
@@ -420,20 +421,17 @@ let run_sched_case ((name, cfg) : string * Hpm_sched.Cluster.config) :
 let run_sched ?(cases = sched_cases) () : sched_entry list =
   List.map run_sched_case cases
 
-(* JSON rendering.  Hand-rolled so the byte layout is fully under our
-   control: fixed key order, fixed float format, newline-terminated. *)
-
-let fnum (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
+(* JSON rendering.  The byte layout is fixed here — key order,
+   indentation, newline termination — while strings and floats come
+   from the one codec. *)
 
 let entry_json (b : Buffer.t) (e : entry) : unit =
   let c = e.e_case in
   Buffer.add_string b
     (Printf.sprintf
        "    {\n\
-       \      \"workload\": \"%s\", \"n\": %d, \"poll\": %d,\n\
-       \      \"src_arch\": \"%s\", \"dst_arch\": \"%s\",\n\
+       \      \"workload\": %s, \"n\": %d, \"poll\": %d,\n\
+       \      \"src_arch\": %s, \"dst_arch\": %s,\n\
        \      \"collect\": { \"model_s\": %s, \"searches\": %d, \"blocks\": %d, \
         \"data_bytes\": %d, \"stream_bytes\": %d, \"pointers\": %d },\n\
        \      \"restore\": { \"model_s\": %s, \"updates\": %d, \"blocks\": %d, \
@@ -450,30 +448,32 @@ let entry_json (b : Buffer.t) (e : entry) : unit =
         \"dedup_s\": %s, \"handoff_p99_s\": %s, \"gc_candidates_s\": %s, \
         \"promotions_s\": %s }\n\
        \    }"
-       c.w_name c.w_n c.w_poll c.src.Arch.name c.dst.Arch.name (fnum e.c_model_s)
-       e.c_searches e.c_blocks e.c_data_bytes e.c_stream_bytes e.c_pointers
-       (fnum e.r_model_s) e.r_updates e.r_blocks e.r_data_bytes (fnum e.h_sim_s)
+       (Json.str c.w_name) c.w_n c.w_poll (Json.str c.src.Arch.name)
+       (Json.str c.dst.Arch.name) (Json.num e.c_model_s) e.c_searches e.c_blocks
+       e.c_data_bytes e.c_stream_bytes e.c_pointers (Json.num e.r_model_s)
+       e.r_updates e.r_blocks e.r_data_bytes (Json.num e.h_sim_s)
        e.h_stream_bytes e.d_full_bytes e.d_incr_bytes e.d_cache_hits
-       e.d_chunks_shipped (fnum e.p_model_s) e.p_polls e.p_entries e.p_checks
+       e.d_chunks_shipped (Json.num e.p_model_s) e.p_polls e.p_entries e.p_checks
        e.p_illegal e.p_lossy e.rep_final_bytes e.rep_full_bytes e.rep_lag1_bytes
-       e.rep_lag3_bytes (fnum e.rep_ship_s) e.q_rows (fnum e.q_top_churn_s)
-       (fnum e.q_dedup_s) (fnum e.q_handoff_p99_s) (fnum e.q_gc_candidates_s)
-       (fnum e.q_promotions_s))
+       e.rep_lag3_bytes (Json.num e.rep_ship_s) e.q_rows
+       (Json.num e.q_top_churn_s) (Json.num e.q_dedup_s)
+       (Json.num e.q_handoff_p99_s) (Json.num e.q_gc_candidates_s)
+       (Json.num e.q_promotions_s))
 
 let sched_entry_json (b : Buffer.t) (s : sched_entry) : unit =
   Buffer.add_string b
     (Printf.sprintf
        "    {\n\
-       \      \"scenario\": \"%s\", \"nodes\": %d, \"procs\": %d, \"seed\": %d,\n\
+       \      \"scenario\": %s, \"nodes\": %d, \"procs\": %d, \"seed\": %d,\n\
        \      \"events\": %d, \"finished\": %d, \"migrations\": %d, \
         \"requested\": %d,\n\
        \      \"failed\": %d, \"requeued\": %d, \"recovered\": %d, \
         \"crashes\": %d,\n\
        \      \"peak_inflight\": %d, \"makespan_s\": %s, \"journal_bytes\": %d\n\
        \    }"
-       s.s_scenario s.s_nodes s.s_procs s.s_seed s.s_events s.s_finished
-       s.s_migrations s.s_requested s.s_failed s.s_requeued s.s_recovered
-       s.s_crashes s.s_peak_inflight (fnum s.s_makespan_s) s.s_journal_bytes)
+       (Json.str s.s_scenario) s.s_nodes s.s_procs s.s_seed s.s_events
+       s.s_finished s.s_migrations s.s_requested s.s_failed s.s_requeued s.s_recovered
+       s.s_crashes s.s_peak_inflight (Json.num s.s_makespan_s) s.s_journal_bytes)
 
 (** Render the versioned document.  Deterministic for a given build.
     [sched], when non-empty, adds the cluster-churn section; older
@@ -481,8 +481,8 @@ let sched_entry_json (b : Buffer.t) (s : sched_entry) : unit =
 let to_json ?(sched : sched_entry list = []) (entries : entry list) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b
-    (Printf.sprintf "{\n  \"schema\": \"%s\",\n  \"version\": %d,\n  \"entries\": [\n"
-       schema version);
+    (Printf.sprintf "{\n  \"schema\": %s,\n  \"version\": %d,\n  \"entries\": [\n"
+       (Json.str schema) version);
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_string b ",\n";

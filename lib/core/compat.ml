@@ -13,6 +13,7 @@
 
 open Hpm_arch
 open Hpm_ir
+module Json = Hpm_obs.Json
 
 type t = {
   analysis : Portability.t;
@@ -100,22 +101,22 @@ let render_text (t : t) ?(arches = Arch.all) ~workload () : string =
 let render_json (t : t) ?(arches = Arch.all) ~workload () : string =
   let buf = Buffer.create 4096 in
   let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
-  add {|{"compat_version":1,"workload":"%s","arches":[%s],"pairs":[|}
-    (Diag.json_escape workload)
-    (String.concat ","
-       (List.map (fun (a : Arch.t) -> Printf.sprintf "%S" a.Arch.name) arches));
+  add {|{"compat_version":1,"workload":%s,"arches":[%s],"pairs":[|}
+    (Json.str workload)
+    (String.concat "," (List.map (fun (a : Arch.t) -> Json.str a.Arch.name) arches));
   List.iteri
     (fun i (r : Portability.pair_report) ->
       if i > 0 then add ",";
-      add {|{"src":"%s","dst":"%s","verdict":"%s","polls":[|}
-        r.Portability.p_src.Arch.name r.Portability.p_dst.Arch.name
-        (Portability.verdict_to_string r.Portability.p_verdict);
+      add {|{"src":%s,"dst":%s,"verdict":%s,"polls":[|}
+        (Json.str r.Portability.p_src.Arch.name)
+        (Json.str r.Portability.p_dst.Arch.name)
+        (Json.str (Portability.verdict_to_string r.Portability.p_verdict));
       List.iteri
         (fun j (pr : Portability.poll_report) ->
           if j > 0 then add ",";
-          add {|{"poll":%d,"verdict":"%s","diags":[%s]}|}
+          add {|{"poll":%d,"verdict":%s,"diags":[%s]}|}
             pr.Portability.r_poll.Pollpoint.id
-            (Portability.verdict_to_string pr.Portability.r_verdict)
+            (Json.str (Portability.verdict_to_string pr.Portability.r_verdict))
             (String.concat "," (List.map Diag.to_json_one pr.Portability.r_diags)))
         r.Portability.p_polls;
       add "]}")

@@ -14,6 +14,7 @@
     example. *)
 
 open Hpm_lang
+module Json = Hpm_obs.Json
 
 type severity = Error | Warning
 
@@ -113,32 +114,17 @@ let pp ppf d =
 
 let pp_list ppf ds = List.iter (fun d -> Fmt.pf ppf "%a@." pp d) ds
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json_one d =
-  Printf.sprintf
-    {|{"code":"%s","severity":"%s","line":%d,"col":%d,"message":"%s"}|}
-    d.code (severity_to_string d.sev) d.loc.Ast.line d.loc.Ast.col
-    (json_escape d.msg)
+  Printf.sprintf {|{"code":%s,"severity":%s,"line":%d,"col":%d,"message":%s}|}
+    (Json.str d.code)
+    (Json.str (severity_to_string d.sev))
+    d.loc.Ast.line d.loc.Ast.col (Json.str d.msg)
 
 (** The machine-readable report consumed by CI:
     [{"file":..., "diagnostics":[...], "errors":n, "warnings":n}]. *)
 let to_json ~file ds =
-  Printf.sprintf {|{"file":"%s","diagnostics":[%s],"errors":%d,"warnings":%d}|}
-    (json_escape file)
+  Printf.sprintf {|{"file":%s,"diagnostics":[%s],"errors":%d,"warnings":%d}|}
+    (Json.str file)
     (String.concat "," (List.map to_json_one ds))
     (List.length (errors ds))
     (List.length (warnings ds))

@@ -35,6 +35,7 @@
     and restoring garbage bytes it will overwrite anyway is harmless). *)
 
 open Hpm_lang
+module Json = Hpm_obs.Json
 module SS = Liveness.SS
 module SM = Map.Make (String)
 
@@ -544,11 +545,10 @@ let footprint_json_one (e : footprint_entry) =
   (* field parity with {!pp_footprint_entry}: the JSON carries the same
      poll id and kind the text report shows *)
   Printf.sprintf
-    {|{"poll":%d,"fn":"%s","kind":"%s","line":%d,"col":%d,"live":%d,"bytes":%d}|}
+    {|{"poll":%d,"fn":%s,"kind":%s,"line":%d,"col":%d,"live":%d,"bytes":%d}|}
     e.fp_poll.Pollpoint.id
-    (Diag.json_escape e.fp_poll.Pollpoint.fn)
-    (Diag.json_escape
-       (Fmt.str "%a" Pollpoint.pp_kind e.fp_poll.Pollpoint.kind))
+    (Json.str e.fp_poll.Pollpoint.fn)
+    (Json.str (Fmt.str "%a" Pollpoint.pp_kind e.fp_poll.Pollpoint.kind))
     e.fp_loc.Ast.line e.fp_loc.Ast.col
     (List.length e.fp_vars) e.fp_bytes
 
@@ -586,8 +586,8 @@ let analyze_source ?(strategy = Pollpoint.default_strategy) (source : string) :
 let report_json ~file (ds : Diag.t list) (fp : footprint_entry list option) :
     string =
   let base =
-    Printf.sprintf {|"file":"%s","diagnostics":[%s],"errors":%d,"warnings":%d|}
-      (Diag.json_escape file)
+    Printf.sprintf {|"file":%s,"diagnostics":[%s],"errors":%d,"warnings":%d|}
+      (Json.str file)
       (String.concat "," (List.map Diag.to_json_one ds))
       (List.length (Diag.errors ds))
       (List.length (Diag.warnings ds))

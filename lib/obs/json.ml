@@ -1,11 +1,14 @@
-(* Minimal recursive-descent JSON reader for the query source adapters.
+(* The one JSON codec for every artifact the repo writes or reads back.
 
-   The repo has no JSON dependency on purpose — every producer in the
-   tree (traces, metrics, BENCH_v1, the HPMJ journal) emits canonical
-   hand-formatted JSON, and the readers stay equally small.  This
-   parser accepts standard JSON (objects, arrays, strings, numbers,
-   booleans, null); it exists so the query engine can scan Chrome
-   trace files and BENCH_v1 documents back in as tables. *)
+   Producers (Chrome traces, BENCH_v1, COMPAT_v1, lint reports,
+   QUERY_v1, the HPMJ journal) each keep their own key order and
+   whitespace — that layout is the artifact's byte contract — but take
+   every string from {!str} and every number from {!num}, so there is
+   one escaper and one number syntax; the Prometheus exposition takes
+   its numbers from {!num} too.  {!parse} reads any of them back: it
+   accepts standard JSON (objects, arrays, strings, numbers, booleans,
+   null) but refuses a number literal that overflows to an infinity,
+   which no producer can write. *)
 
 type t =
   | Null
@@ -97,7 +100,10 @@ let parse_number p =
   go ();
   if p.pos = start then fail "json: expected number at byte %d" start;
   let raw = String.sub p.src start (p.pos - start) in
-  try Num (float_of_string raw) with _ -> fail "json: bad number %S" raw
+  match float_of_string_opt raw with
+  | Some f when Float.is_finite f -> Num f
+  | Some _ -> fail "json: number %s overflows" raw
+  | None -> fail "json: bad number %S" raw
 
 let rec parse_value p =
   skip_ws p;
@@ -171,9 +177,14 @@ let to_int ?(default = 0) v =
 let to_string ?(default = "") v =
   match to_string_opt v with Some s -> s | None -> default
 
-(** Canonical string escape shared by the renderers. *)
-let escape (s : string) : string =
+(* --- writers --------------------------------------------------- *)
+
+(** [s] as a quoted JSON string.  Quote, backslash and control bytes are
+    escaped; every other byte passes through, so [parse (str s)] is
+    [Str s] for any byte string. *)
+let str (s : string) : string =
   let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -186,4 +197,15 @@ let escape (s : string) : string =
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
+  Buffer.add_char b '"';
   Buffer.contents b
+
+(** The one number syntax of every exported artifact: integral values
+    print with no fraction, everything else as 9 significant digits.
+    Printf is deterministic, so same numbers give the same bytes.
+    @raise Invalid_argument on NaN or an infinity, which JSON cannot
+    carry — a bad value fails where it is written, not where it is read. *)
+let num (f : float) : string =
+  if not (Float.is_finite f) then invalid_arg "Json.num: non-finite number";
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.9g" f

@@ -24,17 +24,6 @@
     the pipeline guard with {!tracing} / {!metrics_on} before building
     argument lists. *)
 
-(* ------------------------------------------------------------------ *)
-(* Deterministic formatting                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* One float syntax for every exported artifact: integral values print
-   with no fraction, everything else as shortest-9-significant-digits.
-   Printf is deterministic, so same numbers => same bytes. *)
-let fmt_float (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
 type labels = (string * string) list
 
 (* Canonical label list: sorted by key, first occurrence of a duplicate
@@ -161,6 +150,9 @@ module Metrics = struct
        "on-disk bytes of referenced chunks at the last gc");
       ("hpm_sched_spawns_total", Counter, "processes spawned by the scheduler");
       ("hpm_sched_requests_total", Counter, "migration requests issued");
+      ("hpm_sched_compat_rejected_total", Counter,
+       "migration requests refused up front: the arch pair is Illegal for \
+        the program (docs/COMPAT.md)");
       ("hpm_sched_migrations_total", Counter, "committed migrations");
       ("hpm_sched_failed_migrations_total", Counter,
        "migration epochs aborted (link or node faults)");
@@ -296,8 +288,17 @@ module Metrics = struct
             (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label v)) ls)
         ^ "}"
 
+  (* Prometheus text is not JSON: it spells the non-finite samples that
+     {!Json.num} refuses as [NaN], [+Inf] and [-Inf]. *)
+  let sample (f : float) : string =
+    if Float.is_nan f then "NaN"
+    else if f = Float.infinity then "+Inf"
+    else if f = Float.neg_infinity then "-Inf"
+    else Json.num f
+
   (** Prometheus text exposition.  Families sorted by name, series by
-      canonical label text, floats via {!fmt_float}: deterministic. *)
+      canonical label text, finite numbers via {!Json.num} (the one
+      float syntax of every exported artifact): deterministic. *)
   let render (t : t) : string =
     let b = Buffer.create 4096 in
     let fams =
@@ -320,13 +321,13 @@ module Metrics = struct
             | Counter | Gauge ->
                 Buffer.add_string b
                   (Printf.sprintf "%s%s %s\n" f.f_name (label_text s.s_labels)
-                     (fmt_float s.s_value))
+                     (sample s.s_value))
             | Histogram ->
                 Array.iteri
                   (fun i le ->
                     Buffer.add_string b
                       (Printf.sprintf "%s_bucket%s %d\n" f.f_name
-                         (label_text (s.s_labels @ [ ("le", fmt_float le) ]))
+                         (label_text (s.s_labels @ [ ("le", Json.num le) ]))
                          s.s_buckets.(i)))
                   default_buckets;
                 Buffer.add_string b
@@ -335,7 +336,7 @@ module Metrics = struct
                      s.s_count);
                 Buffer.add_string b
                   (Printf.sprintf "%s_sum%s %s\n" f.f_name (label_text s.s_labels)
-                     (fmt_float s.s_sum));
+                     (sample s.s_sum));
                 Buffer.add_string b
                   (Printf.sprintf "%s_count%s %d\n" f.f_name (label_text s.s_labels)
                      s.s_count))
@@ -376,24 +377,10 @@ module Trace = struct
   (** Events in emission order. *)
   let events t : ev list = List.rev t.evs
 
-  let escape_json s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let arg_json = function
     | I i -> string_of_int i
-    | F f -> fmt_float f
-    | S s -> "\"" ^ escape_json s ^ "\""
+    | F f -> Json.num f
+    | S s -> Json.str s
 
   (** Chrome [trace_event] JSON ("JSON Array Format" wrapped in an object
       with [traceEvents]).  Timestamps are microseconds of simulated
@@ -405,13 +392,13 @@ module Trace = struct
       (fun i e ->
         if i > 0 then Buffer.add_string b ",";
         Buffer.add_string b "\n{";
-        Buffer.add_string b (Printf.sprintf "\"name\":\"%s\"" (escape_json e.e_name));
+        Buffer.add_string b (Printf.sprintf "\"name\":%s" (Json.str e.e_name));
         if e.e_cat <> "" then
-          Buffer.add_string b (Printf.sprintf ",\"cat\":\"%s\"" (escape_json e.e_cat));
+          Buffer.add_string b (Printf.sprintf ",\"cat\":%s" (Json.str e.e_cat));
         Buffer.add_string b (Printf.sprintf ",\"ph\":\"%c\"" e.e_ph);
         if e.e_ph = 'i' then Buffer.add_string b ",\"s\":\"t\"";
         Buffer.add_string b
-          (Printf.sprintf ",\"ts\":%s,\"pid\":1,\"tid\":%d" (fmt_float (e.e_ts *. 1e6))
+          (Printf.sprintf ",\"ts\":%s,\"pid\":1,\"tid\":%d" (Json.num (e.e_ts *. 1e6))
              e.e_tid);
         (match e.e_args with
         | [] -> ()
@@ -421,7 +408,7 @@ module Trace = struct
               (fun j (k, v) ->
                 if j > 0 then Buffer.add_string b ",";
                 Buffer.add_string b
-                  (Printf.sprintf "\"%s\":%s" (escape_json k) (arg_json v)))
+                  (Printf.sprintf "%s:%s" (Json.str k) (arg_json v)))
               args;
             Buffer.add_string b "}");
         Buffer.add_string b "}")

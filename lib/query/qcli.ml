@@ -7,6 +7,7 @@
    docs/QUERY.md. *)
 
 open Cmdliner
+module Json = Hpm_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Flag-pipeline parsing                                               *)

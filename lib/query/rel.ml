@@ -13,6 +13,8 @@
    touched) feeding [Obs.Model.query_s], the management-plane entry in
    the bench trajectory. *)
 
+module Json = Hpm_obs.Json
+
 exception Error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
@@ -335,13 +337,14 @@ let group ~(by : string list) ~(aggs : (string * agg) list) (t : t) : t =
 
 (* --- rendering ----------------------------------------------------- *)
 
-let fnum = Hpm_obs.Obs.fmt_float
-
+(* A Prometheus source can carry NaN or an infinity: the text table
+   shows them as OCaml prints them, QUERY_v1 as [null]. *)
 let cell_text = function
   | Null -> "-"
   | Bool b -> if b then "true" else "false"
   | Int i -> string_of_int i
-  | Float f -> fnum f
+  | Float f when Float.is_finite f -> Json.num f
+  | Float f -> string_of_float f
   | Str s -> s
 
 let is_numeric_ty = function Tint | Tfloat -> true | Tbool | Tstr -> false
@@ -392,11 +395,11 @@ let to_text (t : t) : string =
   Buffer.contents b
 
 let cell_json = function
-  | Null -> "null"
   | Bool b -> if b then "true" else "false"
   | Int i -> string_of_int i
-  | Float f -> fnum f
-  | Str s -> "\"" ^ Json.escape s ^ "\""
+  | Float f when Float.is_finite f -> Json.num f
+  | Null | Float _ -> "null"
+  | Str s -> Json.str s
 
 (** Versioned QUERY_v1 document: canonical key order, columns in
     schema order, rows as arrays — `jq`-checkable and `cmp`-stable. *)
@@ -404,15 +407,15 @@ let to_json ?(report : string option) (t : t) : string =
   let b = Buffer.create 512 in
   Buffer.add_string b "{\"schema\":\"QUERY_v1\",\"version\":1,";
   Buffer.add_string b
-    (Printf.sprintf "\"report\":\"%s\","
-       (Json.escape (match report with Some r -> r | None -> t.t_name)));
+    (Printf.sprintf "\"report\":%s,"
+       (Json.str (match report with Some r -> r | None -> t.t_name)));
   Buffer.add_string b "\"columns\":[";
   List.iteri
     (fun i (c, ty) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"type\":\"%s\"}" (Json.escape c)
-           (ty_name ty)))
+        (Printf.sprintf "{\"name\":%s,\"type\":%s}" (Json.str c)
+           (Json.str (ty_name ty))))
     t.t_schema;
   Buffer.add_string b "],\"rows\":[";
   List.iteri

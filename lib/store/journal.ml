@@ -5,8 +5,8 @@
    engine (lib/query) can treat as a table.  The format is JSONL: one
    flat JSON object per line, every record self-identifying via a
    leading {"hpmj":1, ...} version key.  Records are flat on purpose —
-   a journal line is greppable, `jq`-able, and parseable without a
-   recursive JSON reader.
+   a journal line is greppable and `jq`-able — and are written and read
+   with the repo's one JSON codec ({!Hpm_obs.Json}).
 
    Durability discipline matches the store: every append rewrites the
    whole log through the same tmp+rename commit as manifests
@@ -14,6 +14,8 @@
    from a crashed writer that used this module.  A *truncated* file
    (e.g. copied mid-write by an external tool) parses up to the damage
    and then raises the typed [Corrupt] error — never a crash. *)
+
+module Json = Hpm_obs.Json
 
 exception Corrupt of string
 
@@ -104,206 +106,96 @@ let entry ~ts ~ev ~proc ?(src = "") ?(dst = "") ?(node = "") ?(epoch = 0)
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape_json s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Same float discipline as the observability renderers: integral values
-   print as integers, everything else as %.9g (valid JSON either way). *)
-let fnum (f : float) : string = Hpm_obs.Obs.fmt_float f
-
 (** One line, no trailing newline.  Key order is canonical and fixed —
-    the byte-identity guarantees of the query layer build on it. *)
+    the byte-identity guarantees of the query layer build on it.
+    @raise Invalid_argument on a non-finite [ts] or [time_s], or on an
+    integer field of magnitude 2^53 or more, which {!parse_entry} would
+    refuse. *)
 let encode_entry (e : entry) : string =
+  List.iter
+    (fun n ->
+      if n >= 1 lsl 53 || n <= -(1 lsl 53) then
+        invalid_arg "Journal.encode_entry: integer field beyond 2^53")
+    [ e.j_epoch; e.j_incarnation; e.j_stream_bytes; e.j_collected_bytes;
+      e.j_restored_bytes; e.j_retries; e.j_delta_bytes; e.j_chunks_shipped;
+      e.j_chunks_reused ];
   Printf.sprintf
-    "{\"hpmj\":1,\"ts\":%s,\"ev\":\"%s\",\"proc\":\"%s\",\"src\":\"%s\",\
-     \"dst\":\"%s\",\"node\":\"%s\",\"epoch\":%d,\"incarnation\":%d,\
-     \"stream_bytes\":%d,\"collected_bytes\":%d,\"restored_bytes\":%d,\
-     \"retries\":%d,\"time_s\":%s,\"delta_bytes\":%d,\"chunks_shipped\":%d,\
-     \"chunks_reused\":%d,\"note\":\"%s\"}"
-    (fnum e.j_ts) (ev_name e.j_ev) (escape_json e.j_proc)
-    (escape_json e.j_src) (escape_json e.j_dst) (escape_json e.j_node)
-    e.j_epoch e.j_incarnation e.j_stream_bytes e.j_collected_bytes
-    e.j_restored_bytes e.j_retries (fnum e.j_time_s) e.j_delta_bytes
-    e.j_chunks_shipped e.j_chunks_reused (escape_json e.j_note)
+    "{\"hpmj\":1,\"ts\":%s,\"ev\":%s,\"proc\":%s,\"src\":%s,\"dst\":%s,\
+     \"node\":%s,\"epoch\":%d,\"incarnation\":%d,\"stream_bytes\":%d,\
+     \"collected_bytes\":%d,\"restored_bytes\":%d,\"retries\":%d,\
+     \"time_s\":%s,\"delta_bytes\":%d,\"chunks_shipped\":%d,\
+     \"chunks_reused\":%d,\"note\":%s}"
+    (Json.num e.j_ts) (Json.str (ev_name e.j_ev)) (Json.str e.j_proc)
+    (Json.str e.j_src) (Json.str e.j_dst) (Json.str e.j_node) e.j_epoch
+    e.j_incarnation e.j_stream_bytes e.j_collected_bytes e.j_restored_bytes
+    e.j_retries (Json.num e.j_time_s) e.j_delta_bytes e.j_chunks_shipped
+    e.j_chunks_reused (Json.str e.j_note)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Records are flat objects whose values are strings or numbers, so the
-   reader is a small hand-rolled scanner rather than a JSON library. *)
-
-type scanner = { s : string; mutable pos : int }
-
-let peek sc = if sc.pos < String.length sc.s then Some sc.s.[sc.pos] else None
-
-let advance sc = sc.pos <- sc.pos + 1
-
-let expect sc c =
-  match peek sc with
-  | Some c' when c' = c -> advance sc
-  | Some c' -> corrupt "journal record: expected '%c', found '%c' at byte %d" c c' sc.pos
-  | None -> corrupt "journal record: truncated (expected '%c' at byte %d)" c sc.pos
-
-let skip_ws sc =
-  let rec go () =
-    match peek sc with
-    | Some (' ' | '\t') -> advance sc; go ()
-    | _ -> ()
-  in
-  go ()
-
-let scan_string sc =
-  expect sc '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek sc with
-    | None -> corrupt "journal record: unterminated string"
-    | Some '"' -> advance sc; Buffer.contents b
-    | Some '\\' -> (
-        advance sc;
-        match peek sc with
-        | None -> corrupt "journal record: unterminated escape"
-        | Some 'n' -> advance sc; Buffer.add_char b '\n'; go ()
-        | Some 'r' -> advance sc; Buffer.add_char b '\r'; go ()
-        | Some 't' -> advance sc; Buffer.add_char b '\t'; go ()
-        | Some '"' -> advance sc; Buffer.add_char b '"'; go ()
-        | Some '\\' -> advance sc; Buffer.add_char b '\\'; go ()
-        | Some '/' -> advance sc; Buffer.add_char b '/'; go ()
-        | Some 'u' ->
-            advance sc;
-            if sc.pos + 4 > String.length sc.s then
-              corrupt "journal record: truncated \\u escape";
-            let hex = String.sub sc.s sc.pos 4 in
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> corrupt "journal record: bad \\u escape %S" hex
-            in
-            sc.pos <- sc.pos + 4;
-            (* journal strings are byte-oriented: only the control plane
-               (< 0x100) round-trips through \u escapes *)
-            if code > 0xff then corrupt "journal record: \\u%04x out of range" code;
-            Buffer.add_char b (Char.chr code);
-            go ()
-        | Some c -> corrupt "journal record: bad escape '\\%c'" c)
-    | Some c -> advance sc; Buffer.add_char b c; go ()
-  in
-  go ()
-
-let scan_number sc =
-  let start = sc.pos in
-  let rec go () =
-    match peek sc with
-    | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') -> advance sc; go ()
-    | _ -> ()
-  in
-  go ();
-  if sc.pos = start then corrupt "journal record: expected number at byte %d" start;
-  String.sub sc.s start (sc.pos - start)
-
-(** Parse one journal line into its (key, raw value) fields.  Values are
-    [`Str s] or [`Num raw]. *)
-let scan_record (line : string) : (string * [ `Str of string | `Num of string ]) list =
-  let sc = { s = line; pos = 0 } in
-  skip_ws sc;
-  expect sc '{';
-  let fields = ref [] in
-  let rec go first =
-    skip_ws sc;
-    match peek sc with
-    | Some '}' -> advance sc
-    | None -> corrupt "journal record: truncated object"
-    | _ ->
-        if not first then (expect sc ','; skip_ws sc);
-        let k = scan_string sc in
-        skip_ws sc;
-        expect sc ':';
-        skip_ws sc;
-        let v =
-          match peek sc with
-          | Some '"' -> `Str (scan_string sc)
-          | Some _ -> `Num (scan_number sc)
-          | None -> corrupt "journal record: truncated value for %S" k
-        in
-        fields := (k, v) :: !fields;
-        skip_ws sc;
-        (match peek sc with
-        | Some '}' -> advance sc
-        | Some ',' -> go false
-        | Some c -> corrupt "journal record: unexpected '%c' after field %S" c k
-        | None -> corrupt "journal record: truncated after field %S" k)
-  in
-  go true;
-  skip_ws sc;
-  if sc.pos <> String.length line then
-    corrupt "journal record: trailing bytes after object";
-  List.rev !fields
-
-let field_str fields k =
-  match List.assoc_opt k fields with
-  | Some (`Str s) -> s
-  | Some (`Num _) -> corrupt "journal record: field %S is not a string" k
-  | None -> ""
-
-let field_int fields k =
-  match List.assoc_opt k fields with
-  | Some (`Num raw) -> (
-      try int_of_string raw
-      with _ -> corrupt "journal record: field %S is not an integer (%s)" k raw)
-  | Some (`Str _) -> corrupt "journal record: field %S is not a number" k
-  | None -> 0
-
-let field_float fields k =
-  match List.assoc_opt k fields with
-  | Some (`Num raw) -> (
-      try float_of_string raw
-      with _ -> corrupt "journal record: field %S is not a number (%s)" k raw)
-  | Some (`Str _) -> corrupt "journal record: field %S is not a number" k
-  | None -> 0.0
-
+(** Parse one journal line.  A record is one flat object whose values
+    are strings or numbers; an absent field reads as [""] or [0].
+    Integer fields must be integral and below 2^53, where a JSON number
+    stops being exact. *)
 let parse_entry (line : string) : entry =
-  let fields = scan_record line in
+  let fields =
+    match Json.parse line with
+    | Json.Obj fields -> fields
+    | _ -> corrupt "journal record: not an object"
+    | exception Json.Error m -> corrupt "journal record: %s" m
+  in
+  List.iter
+    (function
+      | _, (Json.Str _ | Json.Num _) -> ()
+      | k, _ -> corrupt "journal record: field %S is not a string or number" k)
+    fields;
   (match List.assoc_opt "hpmj" fields with
-  | Some (`Num "1") -> ()
-  | Some (`Num v) -> corrupt "unsupported journal version %s" v
-  | Some (`Str _) | None -> corrupt "journal record: missing hpmj version key");
-  let ev_s = field_str fields "ev" in
+  | Some (Json.Num 1.0) -> ()
+  | Some (Json.Num v) -> corrupt "unsupported journal version %s" (Json.num v)
+  | _ -> corrupt "journal record: missing hpmj version key");
+  let str k =
+    match List.assoc_opt k fields with
+    | Some (Json.Str s) -> s
+    | Some _ -> corrupt "journal record: field %S is not a string" k
+    | None -> ""
+  in
+  let float k =
+    match List.assoc_opt k fields with
+    | Some (Json.Num f) -> f
+    | Some _ -> corrupt "journal record: field %S is not a number" k
+    | None -> 0.0
+  in
+  let int k =
+    let f = float k in
+    if Float.is_integer f && Float.abs f < 0x1p53 then int_of_float f
+    else corrupt "journal record: field %S is not an integer (%s)" k (Json.num f)
+  in
   let ev =
-    match ev_of_name ev_s with
+    let name = str "ev" in
+    match ev_of_name name with
     | Some ev -> ev
-    | None -> corrupt "journal record: unknown event kind %S" ev_s
+    | None -> corrupt "journal record: unknown event kind %S" name
   in
   {
-    j_ts = field_float fields "ts";
+    j_ts = float "ts";
     j_ev = ev;
-    j_proc = field_str fields "proc";
-    j_src = field_str fields "src";
-    j_dst = field_str fields "dst";
-    j_node = field_str fields "node";
-    j_epoch = field_int fields "epoch";
-    j_incarnation = field_int fields "incarnation";
-    j_stream_bytes = field_int fields "stream_bytes";
-    j_collected_bytes = field_int fields "collected_bytes";
-    j_restored_bytes = field_int fields "restored_bytes";
-    j_retries = field_int fields "retries";
-    j_time_s = field_float fields "time_s";
-    j_delta_bytes = field_int fields "delta_bytes";
-    j_chunks_shipped = field_int fields "chunks_shipped";
-    j_chunks_reused = field_int fields "chunks_reused";
-    j_note = field_str fields "note";
+    j_proc = str "proc";
+    j_src = str "src";
+    j_dst = str "dst";
+    j_node = str "node";
+    j_epoch = int "epoch";
+    j_incarnation = int "incarnation";
+    j_stream_bytes = int "stream_bytes";
+    j_collected_bytes = int "collected_bytes";
+    j_restored_bytes = int "restored_bytes";
+    j_retries = int "retries";
+    j_time_s = float "time_s";
+    j_delta_bytes = int "delta_bytes";
+    j_chunks_shipped = int "chunks_shipped";
+    j_chunks_reused = int "chunks_reused";
+    j_note = str "note";
   }
 
 (** Parse a whole journal file body.  Every record must end in a

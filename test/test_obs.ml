@@ -7,6 +7,7 @@ open Hpm_core
 open Hpm_net
 open Util
 module Obs = Hpm_obs.Obs
+module Json = Hpm_obs.Json
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -86,11 +87,149 @@ let test_label_escaping () =
   check_bool "quote, backslash, and newline escaped" true
     (contains r "proc=\"a\\\"b\\\\c\\nd\"")
 
+let test_non_finite_samples () =
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.set m "hpm_store_gc_live_bytes" [ ("proc", "a") ] nan;
+  Obs.Metrics.set m "hpm_store_gc_live_bytes" [ ("proc", "b") ] infinity;
+  Obs.Metrics.set m "hpm_store_gc_live_bytes" [ ("proc", "c") ] neg_infinity;
+  Obs.Metrics.observe m "hpm_handoff_time_seconds" [] infinity;
+  let r = Obs.Metrics.render m in
+  check_bool "NaN gauge" true (contains r "hpm_store_gc_live_bytes{proc=\"a\"} NaN\n");
+  check_bool "+Inf gauge" true (contains r "hpm_store_gc_live_bytes{proc=\"b\"} +Inf\n");
+  check_bool "-Inf gauge" true (contains r "hpm_store_gc_live_bytes{proc=\"c\"} -Inf\n");
+  check_bool "+Inf histogram sum" true (contains r "hpm_handoff_time_seconds_sum +Inf\n");
+  let values =
+    Hpm_query.Source.metrics_of_string r
+    |> Hpm_query.Rel.rows
+    |> List.filter_map (fun row ->
+           match row.(6) with Hpm_query.Rel.Float f -> Some f | _ -> None)
+  in
+  check_bool "the query reader reads them back" true
+    (List.exists Float.is_nan values
+    && List.mem infinity values
+    && List.mem neg_infinity values)
+
 let test_fmt_float () =
-  check_string "integral stays integral" "42" (Obs.fmt_float 42.0);
-  check_string "zero" "0" (Obs.fmt_float 0.0);
-  check_string "negative integral" "-3" (Obs.fmt_float (-3.0));
-  check_string "fraction" "0.5" (Obs.fmt_float 0.5)
+  check_string "integral stays integral" "42" (Json.num 42.0);
+  check_string "zero" "0" (Json.num 0.0);
+  check_string "negative integral" "-3" (Json.num (-3.0));
+  check_string "fraction" "0.5" (Json.num 0.5)
+
+(* Every catalogued name has a row in the docs/OBSERVABILITY.md metric
+   table: a `prefix` row whose metric column names the rest.  The doc is
+   a dep of the test stanza; the path is relative to the repo root under
+   `dune exec` and to _build/default/test under `dune runtest`. *)
+let test_catalog_documented () =
+  let path =
+    List.find Sys.file_exists [ "docs/OBSERVABILITY.md"; "../docs/OBSERVABILITY.md" ]
+  in
+  let doc = In_channel.with_open_bin path In_channel.input_all in
+  let rows =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char '|' line with
+        | [ ""; prefix; metrics; _; "" ] ->
+            let p = String.trim prefix in
+            let n = String.length p in
+            if n > 2 && p.[0] = '`' && p.[n - 1] = '`' then Some (String.sub p 1 (n - 2), metrics)
+            else None
+        | _ -> None)
+      (String.split_on_char '\n' doc)
+  in
+  List.iter
+    (fun (name, _, _) ->
+      let documented (prefix, metrics) =
+        String.starts_with ~prefix name
+        &&
+        let rest = String.sub name (String.length prefix) (String.length name - String.length prefix) in
+        contains metrics ("`" ^ rest ^ "`") || contains metrics ("`" ^ rest ^ "{")
+      in
+      check_bool (name ^ " is in the docs table") true (List.exists documented rows))
+    Obs.Metrics.catalog
+
+(* ---- the one JSON codec ---- *)
+
+let json_str_roundtrip_prop =
+  qt ~count:200 "json: parse (str s) = Str s for any byte string"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size (int_range 0 300) ~gen:(map Char.chr (int_range 0 255))))
+    (fun s -> Json.parse (Json.str s) = Json.Str s)
+
+(* JSON has no NaN or infinity: the writer refuses them where they are
+   written, and the reader refuses a literal that overflows to one. *)
+let test_json_non_finite () =
+  let invalid = function Invalid_argument _ -> true | _ -> false in
+  List.iter
+    (fun f -> expect_raise (Printf.sprintf "num %h" f) invalid (fun () -> Json.num f))
+    [ nan; infinity; neg_infinity ];
+  expect_raise "overflowing literal"
+    (function Json.Error _ -> true | _ -> false)
+    (fun () -> Json.parse "[1e999]");
+  let t = Obs.Trace.create () in
+  Obs.Trace.emit_i t ~ts:infinity ~cat:"x" "x";
+  expect_raise "trace with an infinite timestamp" invalid (fun () ->
+      Obs.Trace.to_json t)
+
+(* Every producer's output parses with the one reader, and a string
+   holding each byte the escaper must handle comes back intact. *)
+let test_every_producer_parses () =
+  let nasty = "q\"b\\s\nn\rr\x01." in
+  let loc = { Hpm_lang.Ast.line = 3; col = 4 } in
+  let diags = [ Hpm_ir.Diag.make ~code:"HPM-W105" ~loc "%s" nasty ] in
+  let analysis =
+    Hpm_ir.Lint.analyze_source "int main() { int i; i = 0; while (i < 2) { i = i + 1; } return i; }"
+  in
+  let prog, polls = Option.get analysis.Hpm_ir.Lint.a_prog in
+  let footprint = Hpm_ir.Lint.footprint prog polls Hpm_arch.Arch.ultra5 in
+  let trace =
+    let t = Obs.Trace.create () in
+    Obs.Trace.emit_i t ~ts:0.5 ~cat:nasty nasty ~args:[ (nasty, Obs.Trace.S nasty) ];
+    t
+  in
+  let sched =
+    {
+      Hpm_bench.Bench_json.s_scenario = nasty; s_nodes = 1; s_procs = 2; s_seed = 3;
+      s_events = 4; s_finished = 2; s_migrations = 1; s_requested = 1; s_failed = 0;
+      s_requeued = 0; s_recovered = 0; s_crashes = 0; s_peak_inflight = 1;
+      s_makespan_s = 0.25; s_journal_bytes = 100;
+    }
+  in
+  let rel =
+    Hpm_query.Rel.make ~name:"t"
+      ~schema:[ (nasty, Hpm_query.Rel.Tstr); ("f", Hpm_query.Rel.Tfloat) ]
+      [ [| Hpm_query.Rel.Str nasty; Hpm_query.Rel.Float nan |] ]
+  in
+  let m = Json.member and nth i v = List.nth (Json.to_list v) i in
+  let cases =
+    [
+      ("Diag.to_json", Hpm_ir.Diag.to_json ~file:nasty diags,
+       fun v -> m "message" (nth 0 (m "diagnostics" v)));
+      ("Lint.report_json", Hpm_ir.Lint.report_json ~file:nasty diags (Some footprint),
+       m "file");
+      ("Compat.render_json",
+       Hpm_core.Compat.render_json (Hpm_core.Compat.create prog polls) ~workload:nasty (),
+       m "workload");
+      ("Rel.to_json", Hpm_query.Rel.to_json ~report:nasty rel,
+       fun v -> nth 0 (nth 0 (m "rows" v)));
+      ("Obs.Trace.to_json", Obs.Trace.to_json trace,
+       fun v -> m nasty (m "args" (nth 0 (m "traceEvents" v))));
+      ("Bench_json.to_json", Hpm_bench.Bench_json.to_json ~sched:[ sched ] [],
+       fun v -> m "scenario" (nth 0 (m "sched" v)));
+      ("Journal.encode_entry",
+       Hpm_store.Journal.encode_entry
+         (Hpm_store.Journal.entry ~ts:1.5 ~ev:Hpm_store.Journal.Spawned ~proc:"p"
+            ~note:nasty ()),
+       m "note");
+    ]
+  in
+  List.iter
+    (fun (name, doc, pick) ->
+      match Json.parse doc with
+      | v -> check_bool (name ^ " keeps the string") true (pick v = Json.Str nasty)
+      | exception Json.Error e -> Alcotest.failf "%s: %s in %s" name e doc)
+    cases;
+  check_bool "a NaN cell is null in QUERY_v1" true
+    (Json.parse (Hpm_query.Rel.to_json rel) |> m "rows" |> nth 0 |> nth 1 = Json.Null)
 
 (* ---- trace buffer ---- *)
 
@@ -247,8 +386,13 @@ let suite =
     tc "label canonicalisation" test_label_canonicalisation;
     tc "render is insertion-order independent" test_render_deterministic;
     tc "histogram exposition" test_histogram_render;
+    tc "every catalogued metric is documented" test_catalog_documented;
     tc "label escaping" test_label_escaping;
     tc "deterministic float formatting" test_fmt_float;
+    tc "non-finite samples render as Prometheus NaN/+Inf/-Inf" test_non_finite_samples;
+    json_str_roundtrip_prop;
+    tc "json: non-finite numbers refused" test_json_non_finite;
+    tc "json: every producer parses" test_every_producer_parses;
     tc "trace events and Chrome JSON" test_trace_events_and_json;
     tc "no sink, no effect" test_inert_without_sinks;
     tc "ambient and scoped labels" test_ambient_labels;

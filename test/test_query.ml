@@ -8,6 +8,7 @@ open Hpm_query
 module Store = Hpm_store.Store
 module Journal = Hpm_store.Journal
 module Obs = Hpm_obs.Obs
+module Json = Hpm_obs.Json
 
 let fresh_dir =
   let n = ref 0 in
@@ -203,16 +204,74 @@ let journal_roundtrip_prop =
           List.iter (Journal.append j) entries;
           Journal.load path = entries))
 
+(* Finite doubles round-trip; NaN and the infinities have no JSON form
+   and are refused by the encoder. *)
 let encode_canonical_prop =
   qt ~count:100 "HPMJ: encode is a fixpoint of parse (any double)"
     (QCheck.make
        ~print:(fun f -> Printf.sprintf "%h" f)
-       QCheck.Gen.(map abs_float float))
+       QCheck.Gen.(oneof [ float; oneofl [ nan; infinity; neg_infinity ] ]))
     (fun f ->
-      let f = if Float.is_nan f || f = infinity then 1.5 else f in
       let e = Journal.entry ~ts:f ~ev:Journal.Checkpointed ~proc:"p" ~time_s:f () in
-      let line = Journal.encode_entry e in
-      Journal.encode_entry (Journal.parse_entry line) = line)
+      if Float.is_finite f then
+        let line = Journal.encode_entry e in
+        Journal.encode_entry (Journal.parse_entry line) = line
+      else
+        match Journal.encode_entry e with
+        | exception Invalid_argument _ -> true
+        | _ -> false)
+
+let test_journal_non_finite_append () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "j.hpmj" in
+      let j = Journal.open_journal path in
+      let ok = Journal.entry ~ts:1.0 ~ev:Journal.Spawned ~proc:"p" () in
+      Journal.append j ok;
+      expect_raise "NaN ts refused at append"
+        (function Invalid_argument _ -> true | _ -> false)
+        (fun () -> Journal.append j (Journal.entry ~ts:nan ~ev:Journal.Finished ~proc:"p" ()));
+      List.iter
+        (fun epoch ->
+          expect_raise
+            (Printf.sprintf "integer field %d refused at append" epoch)
+            (function Invalid_argument _ -> true | _ -> false)
+            (fun () ->
+              Journal.append j
+                (Journal.entry ~ts:2.0 ~ev:Journal.Finished ~proc:"p" ~epoch ())))
+        [ 1 lsl 53; -(1 lsl 53); max_int ];
+      let edge =
+        Journal.entry ~ts:3.0 ~ev:Journal.Finished ~proc:"p" ~epoch:((1 lsl 53) - 1) ()
+      in
+      Journal.append j edge;
+      Journal.close j;
+      check_bool "earlier records still load" true (Journal.load path = [ ok; edge ]))
+
+(* Each line breaks one rule of the HPMJ reader (docs/FORMAT.md). *)
+let test_journal_malformed_records () =
+  let head = {|{"hpmj":1,"ts":0,"ev":"spawned","proc":"p"|} in
+  List.iter
+    (fun (why, line) ->
+      expect_raise why
+        (function Journal.Corrupt _ -> true | _ -> false)
+        (fun () -> Journal.parse_entry line))
+    [
+      ("missing version", {|{"ts":0,"ev":"spawned"}|});
+      ("version 2", {|{"hpmj":2,"ev":"spawned"}|});
+      ("string version", {|{"hpmj":"1","ev":"spawned"}|});
+      ("unknown ev", {|{"hpmj":1,"ev":"exploded"}|});
+      ("number in a string field", head ^ {|,"node":5}|});
+      ("string in a number field", head ^ {|,"time_s":"1"}|});
+      ("fractional integer field", head ^ {|,"epoch":1.5}|});
+      ("integer field past 2^53", head ^ {|,"epoch":9007199254740992}|});
+      ("nested value", head ^ {|,"extra":[1]}|});
+      ("boolean value", head ^ {|,"extra":true}|});
+      ("overflowing number", head ^ {|,"ts":1e999}|});
+      ("trailing bytes", head ^ "} x");
+      ("truncated record", head);
+      ("not an object", "[1]");
+    ];
+  check_bool "a well-formed record still parses" true
+    ((Journal.parse_entry (head ^ {|,"epoch":3}|})).Journal.j_epoch = 3)
 
 let test_journal_truncated_tail () =
   with_dir (fun dir ->
@@ -475,6 +534,8 @@ let suite =
     tc "rel: work counters feed the cost model" test_work_counters;
     journal_roundtrip_prop;
     encode_canonical_prop;
+    tc "journal: a value the reader refuses is refused at append" test_journal_non_finite_append;
+    tc "journal: every malformed record is a typed error" test_journal_malformed_records;
     tc "journal: truncated tail and bad version are typed errors"
       test_journal_truncated_tail;
     tc_slow "fleet: five canned reports byte-identical across runs"
