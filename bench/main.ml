@@ -41,6 +41,14 @@ let suspend m arch after =
   | Hpm_machine.Interp.RPolled _ -> p
   | _ -> failwith "program finished before the requested poll event"
 
+(* Run the copy that survives a handoff to completion: the output
+   produced before the handoff followed by the survivor's. *)
+let finish_survivor m src pre res =
+  let p = Handoff.survivor m src res in
+  match Hpm_machine.Interp.run p with
+  | Hpm_machine.Interp.RDone _ -> pre ^ Hpm_machine.Interp.output p
+  | _ -> "<did not finish>"
+
 (* One full migration measurement: collect, (simulated) transmit, restore. *)
 type measurement = {
   collect_s : float;
@@ -425,22 +433,22 @@ let bench_faults () =
           ~seed:(0xC0FFEE + i) ()
       in
       let channel = Hpm_net.Netsim.ethernet_10 ~faults () in
-      let o =
-        Migration.run_migrating m ~src_arch:Hpm_arch.Arch.dec5000
-          ~dst_arch:Hpm_arch.Arch.sparc20 ~after_polls:6000 ~channel ()
+      let src = suspend m Hpm_arch.Arch.dec5000 6000 in
+      let pre = Hpm_machine.Interp.output src in
+      let res = Handoff.execute ~channel ~epoch:1 m src Hpm_arch.Arch.sparc20 in
+      let out = finish_survivor m src pre res in
+      let ok = if String.equal out expected then "yes" else "NO!" in
+      let ts, outcome =
+        match res.Handoff.outcome with
+        | Handoff.Committed c -> (c.Handoff.c_tstats, "migrated")
+        | Handoff.Link_failed l -> (l.Handoff.l_stats, "resumed src")
+        | o -> failwith ("bench faults: unexpected " ^ Handoff.outcome_name o)
       in
-      let ok = if String.equal o.Migration.output expected then "yes" else "NO!" in
-      let row (ts : Hpm_net.Transport.stats) outcome =
-        pr "%-8.2f %-8.2f %7d %7d %9d %10d %10.4f %6s %10s@." loss corrupt
-          ts.Hpm_net.Transport.t_chunks ts.Hpm_net.Transport.t_sent
-          ts.Hpm_net.Transport.t_retries ts.Hpm_net.Transport.t_resent_bytes
-          ts.Hpm_net.Transport.t_time_s ok outcome
-      in
-      match (o.Migration.report, o.Migration.transfer_failure) with
-      | Some { Migration.transport_stats = Some ts; _ }, _ -> row ts "migrated"
-      | _, Some f -> row f.Migration.f_stats "resumed src"
-      | _ -> pr "%-8.2f %-8.2f (finished before the poll)@." loss corrupt;
-      if not (String.equal o.Migration.output expected) then exit 1)
+      pr "%-8.2f %-8.2f %7d %7d %9d %10d %10.4f %6s %10s@." loss corrupt
+        ts.Hpm_net.Transport.t_chunks ts.Hpm_net.Transport.t_sent
+        ts.Hpm_net.Transport.t_retries ts.Hpm_net.Transport.t_resent_bytes
+        ts.Hpm_net.Transport.t_time_s ok outcome;
+      if not (String.equal out expected) then exit 1)
     [ (0.0, 0.0); (0.0, 0.05); (0.05, 0.05); (0.1, 0.1); (0.2, 0.2); (0.3, 0.3); (1.0, 1.0) ];
   pr "@.reading: retries and resent bytes grow with the fault rate while the@.";
   pr "delivered stream stays byte-identical; at rate 1.0 the transfer aborts@.";
@@ -490,12 +498,7 @@ let bench_recovery () =
       let pre = Hpm_machine.Interp.output src in
       let channel = Hpm_net.Netsim.ethernet_10 () in
       let res = Handoff.execute ~faults ~channel ~epoch:1 m src Hpm_arch.Arch.sparc20 in
-      let finish (p : Hpm_machine.Interp.t) =
-        match Hpm_machine.Interp.run p with
-        | Hpm_machine.Interp.RDone _ -> pre ^ Hpm_machine.Interp.output p
-        | _ -> "<did not finish>"
-      in
-      let path, sim_t, bytes, out =
+      let path, sim_t, bytes =
         match res.Handoff.outcome with
         | Handoff.Committed c ->
             let path =
@@ -504,21 +507,15 @@ let bench_recovery () =
               else if c.Handoff.c_ack_recovered then "commit (probe)"
               else "commit"
             in
-            (path, c.Handoff.c_time_s, c.Handoff.c_stream_bytes, finish c.Handoff.c_dst)
+            (path, c.Handoff.c_time_s, c.Handoff.c_stream_bytes)
         | Handoff.Source_recovered r ->
-            ("resume from ckpt", r.Handoff.r_time_s,
-             r.Handoff.r_cstats.Cstats.c_stream_bytes, finish r.Handoff.r_interp)
+            ("resume from ckpt", r.Handoff.r_time_s, r.Handoff.r_cstats.Cstats.c_stream_bytes)
         | Handoff.Abort_requeue q ->
-            let interp, _ =
-              Handoff.resume_from_checkpoint m Hpm_arch.Arch.dec5000
-                ~epoch:q.Handoff.q_epoch q.Handoff.q_ckpt
-            in
-            ("abort + requeue", q.Handoff.q_time_s, String.length q.Handoff.q_ckpt,
-             finish interp)
-        | Handoff.Stalled { s_time_s; s_ckpt; _ } ->
-            ("stalled", s_time_s, String.length s_ckpt, "<blocked>")
-        | Handoff.Link_failed l -> ("resume live", l.Handoff.l_time_s, 0, finish src)
+            ("abort + requeue", q.Handoff.q_time_s, String.length q.Handoff.q_ckpt)
+        | Handoff.Stalled { s_time_s; s_ckpt; _ } -> ("stalled", s_time_s, String.length s_ckpt)
+        | Handoff.Link_failed l -> ("resume live", l.Handoff.l_time_s, 0)
       in
+      let out = finish_survivor m src pre res in
       pr "%-26s %-22s %10.4f %10d %6s@." name path sim_t bytes
         (if String.equal out expected then "yes" else "NO!");
       if not (String.equal out expected) then exit 1)

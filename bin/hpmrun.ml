@@ -6,10 +6,12 @@
      hpmrun workload:bitonic:5000 --from sparc20 --to x86_64 --report
      hpmrun workload:nqueens:6 --to x86_64 --crash-dst-after restore --report
 
-   FILE may be "workload:NAME[:N]" for a built-in workload.  Node-fault
-   flags (--crash-src-after, --crash-dst-after, --drop-ack, --drop-probe)
-   route the migration through the crash-consistent two-phase handoff
-   (docs/PROTOCOL.md) and print the protocol trace under --report. *)
+   FILE may be "workload:NAME[:N]" for a built-in workload.  Every --to
+   migration runs the crash-consistent two-phase handoff
+   (docs/PROTOCOL.md) over a simulated 10 Mb/s link; link-fault flags
+   (--loss, --corrupt) and node-fault flags (--crash-src-after,
+   --crash-dst-after, --drop-ack, --drop-probe) only change what that
+   link and those nodes do.  --report prints the protocol trace. *)
 
 open Cmdliner
 open Hpm_core
@@ -54,48 +56,35 @@ let parse_phase flag = function
             s;
           exit 1)
 
-(* Print the handoff trace and outcome, then finish the surviving copy
-   and print its output.  [p] is the (suspended) source interpreter. *)
-let conclude_handoff m ~src_arch p (res : Handoff.result) ~report =
+(* Print the handoff trace and outcome, then [pre] (the output released
+   before the handoff), then finish the surviving copy and print its
+   output.  [p] is the (suspended) source interpreter. *)
+let conclude_handoff m p (res : Handoff.result) ~pre ~report ~show_net =
   if report then Fmt.pr "%a" Handoff.pp_trace res.Handoff.trace;
   Fmt.pr "; %a@." Handoff.pp_outcome res.Handoff.outcome;
-  (* output produced before the handoff, on the source *)
-  print_string (Hpm_machine.Interp.output p);
-  let finish interp =
-    match Hpm_machine.Interp.run interp with
-    | Hpm_machine.Interp.RDone _ ->
-        print_string (Hpm_machine.Interp.output interp);
-        0
-    | _ ->
-        Fmt.epr "hpmrun: process did not run to completion after the handoff@.";
-        2
-  in
-  match res.Handoff.outcome with
-  | Handoff.Committed c ->
-      if report then
-        Fmt.pr "; %a@.; %a@.; %a@." Hpm_core.Cstats.pp_collect c.Handoff.c_cstats
-          Hpm_core.Cstats.pp_restore c.Handoff.c_rstats Transport.pp_stats
-          c.Handoff.c_tstats;
-      finish c.Handoff.c_dst
-  | Handoff.Source_recovered r -> finish r.Handoff.r_interp
-  | Handoff.Abort_requeue q ->
-      Fmt.pr "; source copy resumes locally@.";
-      let interp, _ =
-        Handoff.resume_from_checkpoint m src_arch ~epoch:q.Handoff.q_epoch
-          q.Handoff.q_ckpt
-      in
-      finish interp
-  | Handoff.Stalled { s_ckpt; s_epoch; _ } ->
-      Fmt.pr "; resuming retained checkpoint on the source@.";
-      let interp, _ = Handoff.resume_from_checkpoint m src_arch ~epoch:s_epoch s_ckpt in
-      finish interp
-  | Handoff.Link_failed _ ->
-      Hpm_machine.Interp.clear_migration_request p;
-      finish p
+  (match res.Handoff.outcome with
+  | Handoff.Committed c when report ->
+      Fmt.pr "; %a@.; %a@.; %a@." Hpm_core.Cstats.pp_collect c.Handoff.c_cstats
+        Hpm_core.Cstats.pp_restore c.Handoff.c_rstats Transport.pp_stats
+        c.Handoff.c_tstats;
+      if show_net then (
+        let tx ch = Netsim.tx_time ch c.Handoff.c_stream_bytes in
+        Fmt.pr "; Tx over 10Mb Ethernet : %.4f s@." (tx (Netsim.ethernet_10 ()));
+        Fmt.pr "; Tx over 100Mb Ethernet: %.4f s@." (tx (Netsim.ethernet_100 ())))
+  | _ -> ());
+  print_string pre;
+  let survivor = Handoff.survivor m p res in
+  match Hpm_machine.Interp.run survivor with
+  | Hpm_machine.Interp.RDone _ ->
+      print_string (Hpm_machine.Interp.output survivor);
+      0
+  | _ ->
+      Fmt.epr "hpmrun: process did not run to completion after the handoff@.";
+      2
 
 (* Run to the poll-point on the source, hand off under the two-phase
    protocol, then finish the surviving copy and print its output. *)
-let run_handoff m ~src_arch ~dst_arch ~after ~channel ~config ~report =
+let run_handoff m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net =
   let p = Migration.start m src_arch in
   Hpm_machine.Interp.request_migration_after p after;
   match Hpm_machine.Interp.run p with
@@ -106,13 +95,13 @@ let run_handoff m ~src_arch ~dst_arch ~after ~channel ~config ~report =
   | Hpm_machine.Interp.RFuel -> assert false
   | Hpm_machine.Interp.RPolled _ ->
       let res = Handoff.execute ~config ~channel ~epoch:1 m p dst_arch in
-      conclude_handoff m ~src_arch p res ~report
+      conclude_handoff m p res ~pre:(Hpm_machine.Interp.output p) ~report ~show_net
 
 (* Iterative pre-copy migration through the store: ship a full snapshot
    and converging deltas while the source runs, then hand off under the
    two-phase protocol carrying only the final delta on the wire. *)
-let run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~st ~proc
-    ~rounds ~threshold =
+let run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net
+    ~st ~proc ~rounds ~threshold =
   let p = Migration.start m src_arch in
   Hpm_machine.Interp.request_migration_after p after;
   match Hpm_machine.Interp.run p with
@@ -141,7 +130,8 @@ let run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~st ~proc
           (List.length pres.Precopy.p_rounds)
           Hpm_core.Cstats.pp_delta pres.Precopy.p_stats);
       match pres.Precopy.p_outcome with
-      | Precopy.Handed_off hres -> conclude_handoff m ~src_arch p hres ~report
+      | Precopy.Handed_off hres ->
+          conclude_handoff m p hres ~pre:(Hpm_machine.Interp.output p) ~report ~show_net
       | Precopy.Finished_before_handoff ->
           print_string (Hpm_machine.Interp.output p);
           Fmt.pr "; process finished during pre-copy; nothing migrated@.";
@@ -274,7 +264,23 @@ let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
     if standby > 0 then None else parse_phase "--crash-src-after" crash_src
   in
   let crash_dst = parse_phase "--crash-dst-after" crash_dst in
-  let node_faulty = crash_src <> None || crash_dst <> None || drop_ack > 0 || drop_probe > 0 in
+  (* a networked migration crosses the paper's §4.1 10 Mb/s link under a
+     seeded (replayable) fault schedule, with any node faults installed *)
+  let network () =
+    let channel =
+      Netsim.ethernet_10
+        ~faults:(Netsim.fault_model ~loss_rate:loss ~corrupt_rate:corrupt ~seed:net_seed ())
+        ()
+    in
+    Netsim.set_node_faults channel
+      (Some
+         (Netsim.node_faults ?crash_source_after:crash_src ?crash_dest_after:crash_dst
+            ~drop_commit_acks:drop_ack ~drop_probe_replies:drop_probe ()));
+    let transport = { Transport.default_config with max_retries } in
+    ( channel,
+      { Handoff.default_config with Handoff.transport; ack_deadline_s = ack_deadline;
+        probe_retries } )
+  in
   let store =
     match store_dir with
     | None -> None
@@ -463,22 +469,10 @@ let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
                       print_string (Replica.output r);
                       Fmt.pr "; process finished before the final delta@.";
                       0
-                  | Replica.Migrated res -> (
+                  | Replica.Migrated res ->
                       print_events ();
-                      if report then Fmt.pr "%a" Handoff.pp_trace res.Handoff.trace;
-                      Fmt.pr "; %a@." Handoff.pp_outcome res.Handoff.outcome;
-                      match res.Handoff.outcome with
-                      | Handoff.Committed c ->
-                          if c.Handoff.c_src_crashed then
-                            Fmt.pr
-                              "; source crashed after commit; standby sb0 owns \
-                               the process@.";
-                          print_string (Replica.released_output r);
-                          finish c.Handoff.c_dst
-                      | _ ->
-                          Fmt.epr
-                            "hpmrun: planned migration did not commit@.";
-                          2))
+                      conclude_handoff m p res ~pre:(Replica.output r) ~report
+                        ~show_net)
                 else if promote then
                   (* operator-initiated failover drill: fence the live
                      source and continue on the freshest standby *)
@@ -519,30 +513,9 @@ let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
         let rounds = Option.get precopy_rounds in
         let src_arch = Hpm_arch.Arch.by_name_exn from_ in
         let dst_arch = Hpm_arch.Arch.by_name_exn (Option.get to_) in
-        let channel =
-          Hpm_net.Netsim.ethernet_10
-            ~faults:
-              (Hpm_net.Netsim.fault_model ~loss_rate:loss ~corrupt_rate:corrupt
-                 ~seed:net_seed ())
-            ()
-        in
-        if node_faulty then
-          Netsim.set_node_faults channel
-            (Some
-               (Netsim.node_faults ?crash_source_after:crash_src
-                  ?crash_dest_after:crash_dst ~drop_commit_acks:drop_ack
-                  ~drop_probe_replies:drop_probe ()));
-        let transport = { Hpm_net.Transport.default_config with max_retries } in
-        let config =
-          {
-            Handoff.default_config with
-            Handoff.transport;
-            ack_deadline_s = ack_deadline;
-            probe_retries;
-          }
-        in
-        run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~st ~proc
-          ~rounds ~threshold:precopy_threshold
+        let channel, config = network () in
+        run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net
+          ~st ~proc ~rounds ~threshold:precopy_threshold
     | Some _ | None -> (
     match (save_ckpt, load_ckpt) with
     | Some path, _ ->
@@ -573,71 +546,8 @@ let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
     | Some toname ->
         let src_arch = Hpm_arch.Arch.by_name_exn from_ in
         let dst_arch = Hpm_arch.Arch.by_name_exn toname in
-        (* any fault flag routes the stream through the chunked transport
-           over the paper's §4.1 10 Mb/s link, with a seeded (replayable)
-           fault schedule *)
-        let use_net = loss > 0.0 || corrupt > 0.0 in
-        let channel =
-          if use_net || node_faulty || obs_on then
-            Some
-              (Hpm_net.Netsim.ethernet_10
-                 ~faults:
-                   (Hpm_net.Netsim.fault_model ~loss_rate:loss ~corrupt_rate:corrupt
-                      ~seed:net_seed ())
-                 ())
-          else None
-        in
-        let transport = { Hpm_net.Transport.default_config with max_retries } in
-        (* node faults need the two-phase protocol; so does observability,
-           which traces the handoff state machine end to end *)
-        if node_faulty || obs_on then (
-          let channel = Option.get channel in
-          if node_faulty then
-            Netsim.set_node_faults channel
-              (Some
-                 (Netsim.node_faults ?crash_source_after:crash_src
-                    ?crash_dest_after:crash_dst ~drop_commit_acks:drop_ack
-                    ~drop_probe_replies:drop_probe ()));
-          let config =
-            {
-              Handoff.default_config with
-              Handoff.transport;
-              ack_deadline_s = ack_deadline;
-              probe_retries;
-            }
-          in
-          run_handoff m ~src_arch ~dst_arch ~after ~channel ~config ~report)
-        else
-        let o =
-          Migration.run_migrating m ~src_arch ~dst_arch ~after_polls:after ?channel
-            ~transport ()
-        in
-        print_string o.Migration.output;
-        (match o.Migration.transfer_failure with
-        | Some f ->
-            Fmt.pr "; %a@." Migration.pp_transfer_failure f;
-            Fmt.pr "; process resumed on %s and completed locally@." from_
-        | None ->
-            if use_net then
-              match o.Migration.report with
-              | Some { Migration.transport_stats = Some ts; _ } ->
-                  Fmt.pr "; %a@." Hpm_net.Transport.pp_stats ts
-              | _ -> ());
-        (if report then
-           match o.Migration.report with
-           | Some r ->
-               Fmt.pr "; %a@." Migration.pp_report r;
-               if show_net then (
-                 let ch10 = Hpm_net.Netsim.ethernet_10 () in
-                 let ch100 = Hpm_net.Netsim.ethernet_100 () in
-                 Fmt.pr "; Tx over 10Mb Ethernet : %.4f s@."
-                   (Hpm_net.Netsim.tx_time ch10 r.Migration.stream_bytes);
-                 Fmt.pr "; Tx over 100Mb Ethernet: %.4f s@."
-                   (Hpm_net.Netsim.tx_time ch100 r.Migration.stream_bytes))
-           | None ->
-               if o.Migration.transfer_failure = None then
-                 Fmt.pr "; process finished before the migration triggered@.");
-        0)
+        let channel, config = network () in
+        run_handoff m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net)
   with
   | Hpm_lang.Lexer.Error (m, l, c) ->
       Fmt.epr "lexical error at %d:%d: %s@." l c m;
@@ -679,7 +589,7 @@ let () =
   let after =
     Arg.(value & opt int 0 & info [ "after-polls" ] ~docv:"K" ~doc:"migrate at the (K+1)-th poll event")
   in
-  let report = Arg.(value & flag & info [ "report" ] ~doc:"print migration statistics (and the handoff trace under node faults)") in
+  let report = Arg.(value & flag & info [ "report" ] ~doc:"print the handoff trace and migration statistics") in
   let show_net = Arg.(value & flag & info [ "net" ] ~doc:"print simulated network transfer times") in
   let save_ckpt =
     Arg.(value & opt (some string) None
@@ -694,8 +604,7 @@ let () =
   let loss =
     Arg.(value & opt float 0.0
          & info [ "loss" ] ~docv:"P"
-             ~doc:"per-chunk truncation probability; routes the migration through \
-                   the chunked transport over a lossy 10 Mb/s link")
+             ~doc:"per-chunk truncation probability on the simulated 10 Mb/s link")
   in
   let corrupt =
     Arg.(value & opt float 0.0
@@ -803,8 +712,7 @@ let () =
          & info [ "trace" ] ~docv:"FILE"
              ~doc:"write a Chrome trace_event JSON trace of the run to FILE; \
                    timestamps come from the simulated clock, so same-seed runs \
-                   produce byte-identical traces (routes --to migrations through \
-                   the two-phase handoff)")
+                   produce byte-identical traces")
   in
   let metrics_file =
     Arg.(value & opt (some string) None

@@ -4,7 +4,7 @@
     cost counters ({!Hpm_core.Cstats}), the modelled per-operation costs
     ({!Hpm_obs.Obs.Model}), and the network simulator's virtual clock.
     No wall-clock time enters the document, so two runs of the same build
-    emit byte-identical JSON and a committed baseline ([BENCH_0005.json])
+    emit byte-identical JSON and a committed baseline ([BENCH_0006.json])
     can gate regressions in CI: a code change that does more MSRLT
     searches, ships more wire bytes, or stretches the simulated handoff
     shows up as a >10% delta against the baseline.
@@ -156,7 +156,7 @@ let run_case (c : case) : entry =
   in
   Hashtbl.iter (Hashtbl.replace chunks1) chunks2;
   let incr_wire =
-    Hpm_store.Store.encode_delta ~base:mf1 ~lookup:(lookup chunks1) mf2
+    Hpm_store.Store.encode_delta ~base:mf1 ~stats:d2 ~lookup:(lookup chunks1) mf2
   in
   (* portability matrix over the whole catalog: deterministic work
      counters through the same model clock as collect/restore *)

@@ -1,11 +1,11 @@
 (** Crash-consistent two-phase migration handoff.
 
-    The plain migration pipeline ({!Migration.migrate_over}) survives a
-    bad {e link} (PR 1's chunked transport) but assumes both {e endpoints}
-    outlive the handoff: a crash of either machine mid-migration loses
-    the process.  This module runs the same collect → transfer → restore
-    pipeline as an explicit five-phase commit protocol in which, at every
-    instant, exactly one durable copy of the process is authoritative:
+    Every migration that crosses a (simulated) network runs here.  It is
+    {!Migration.migrate}'s collect → restore pipeline with the chunked
+    transport ({!Hpm_net.Transport}) in between, which survives a bad
+    {e link}, run as an explicit five-phase commit protocol, which
+    survives a crash of either {e endpoint}: at every instant exactly
+    one durable copy of the process is authoritative:
 
     {v
               source                          destination
@@ -192,9 +192,10 @@ exception Error of string
     [faults] or, failing that, the channel's installed plan.  [tamper] is
     a test hook that corrupts the restored image before verification.
 
-    Delta-transfer hooks (used by [Hpm_store.Precopy]): [collect_fn]
-    replaces the phase-1 collection, returning the full stream that serves
-    as the durable checkpoint; [encode] maps that stream to what actually
+    Delta-transfer hooks (used by [Hpm_store.Precopy.final_handoff], the
+    final round of pre-copy and of a planned replica migration):
+    [collect_fn] replaces the phase-1 collection, returning the full
+    stream that serves as the durable checkpoint; [encode] maps that stream to what actually
     crosses the wire (e.g. a v3 delta against state the destination
     already holds); [decode] inverts it at the destination — it must be
     idempotent, since a destination restarting after commit decodes its
@@ -675,3 +676,24 @@ let execute ?(config = default_config) ?faults ?tamper ?collect_fn
 let resume_from_checkpoint (m : Migration.migratable) (arch : Hpm_arch.Arch.t)
     ~(epoch : int) (ckpt : string) : Interp.t * Cstats.restore =
   Restore.restore ~expect_epoch:epoch m.Migration.prog arch m.Migration.ti ckpt
+
+(** The single copy that continues after [res], with [src] the suspended
+    source passed to {!execute}: the destination copy on commit, the
+    rebuilt source after a source crash, the retained checkpoint resumed
+    on the source's architecture after an abort or a stall, and [src]
+    itself (its migration request cleared) after a link failure.  The
+    survivor's output buffer starts at the handoff: [src]'s is emptied in
+    the last case, as a restored copy's is empty, so the run's output is
+    always [Interp.output src] taken before this call followed by the
+    survivor's. *)
+let survivor (m : Migration.migratable) (src : Interp.t) (res : result) : Interp.t =
+  match res.outcome with
+  | Committed c -> c.c_dst
+  | Source_recovered r -> r.r_interp
+  | Abort_requeue { q_ckpt = ckpt; q_epoch = epoch; _ }
+  | Stalled { s_ckpt = ckpt; s_epoch = epoch; _ } ->
+      fst (resume_from_checkpoint m src.Interp.arch ~epoch ckpt)
+  | Link_failed _ ->
+      Interp.clear_migration_request src;
+      Buffer.clear src.Interp.out;
+      src

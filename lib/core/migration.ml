@@ -3,8 +3,14 @@
     Glues the pipeline together: pre-compile a Mini-C source into the
     migratable format (type check → unsafe-feature check → IR lowering →
     poll-point insertion), start it on a source machine, run until a
-    migration request is noticed at a poll-point, collect, transfer,
-    restore on the destination machine, and resume.
+    migration request is noticed at a poll-point, collect, restore on the
+    destination machine, and resume.
+
+    {!migrate} and {!run_migrating} hand the stream over in memory: they
+    are the reference pipeline that tests and examples compare against.
+    A migration that crosses a (simulated) network runs
+    {!Handoff.execute}, the same collect → restore pipeline with the
+    chunked transport in between and two-phase commit around it.
 
     [Unix.gettimeofday]-style timing deliberately lives in the benchmark
     harness, not here; this module reports the §4.2 operation counts and
@@ -85,8 +91,6 @@ type migration_report = {
   stream_bytes : int;
   collect_stats : Cstats.collect;
   restore_stats : Cstats.restore;
-  transport_stats : Hpm_net.Transport.stats option;
-      (** set when the stream travelled through the chunked transport *)
   src_arch : string;
   dst_arch : string;
 }
@@ -94,10 +98,7 @@ type migration_report = {
 let pp_report ppf r =
   Fmt.pf ppf "migration %s -> %s at poll #%d: %d bytes@.  %a@.  %a" r.src_arch
     r.dst_arch r.poll_id r.stream_bytes Cstats.pp_collect r.collect_stats
-    Cstats.pp_restore r.restore_stats;
-  match r.transport_stats with
-  | Some ts -> Fmt.pf ppf "@.  %a" Hpm_net.Transport.pp_stats ts
-  | None -> ()
+    Cstats.pp_restore r.restore_stats
 
 (** Migrate a process suspended at a poll-point ({!Interp.run} returned
     [RPolled]) to a fresh process on [dst_arch].  The source process is
@@ -114,55 +115,13 @@ let migrate (m : migratable) (src : Interp.t) (dst_arch : Arch.t) :
       stream_bytes = String.length data;
       collect_stats;
       restore_stats;
-      transport_stats = None;
       src_arch = src.Interp.arch.Arch.name;
       dst_arch = dst_arch.Arch.name;
     } )
 
-(** Why a networked migration did not deliver the process. *)
-type transfer_failure = {
-  f_seq : int;          (** chunk that exhausted its retries *)
-  f_attempts : int;
-  f_reason : string;    (** receiver's last NAK reason *)
-  f_stats : Hpm_net.Transport.stats;
-}
-
-let pp_transfer_failure ppf f =
-  Fmt.pf ppf "transfer aborted at chunk #%d after %d attempts (%s); %a" f.f_seq
-    f.f_attempts f.f_reason Hpm_net.Transport.pp_stats f.f_stats
-
-(** Like {!migrate}, but the stream crosses [channel] through the chunked,
-    checksummed, retrying transport ({!Hpm_net.Transport}).  On [Error]
-    the destination got nothing and [src] is untouched — still suspended
-    at its poll-point, so the caller can clear the migration request and
-    resume it locally (graceful degradation instead of a lost process). *)
-let migrate_over ?config ~(channel : Hpm_net.Netsim.t) (m : migratable) (src : Interp.t)
-    (dst_arch : Arch.t) : (Interp.t * migration_report, transfer_failure) result =
-  let data, collect_stats = Collect.collect src m.ti in
-  match Hpm_net.Transport.transfer ?config channel data with
-  | Hpm_net.Transport.Aborted { failed_seq; attempts; reason; stats } ->
-      Error { f_seq = failed_seq; f_attempts = attempts; f_reason = reason; f_stats = stats }
-  | Hpm_net.Transport.Delivered (delivered, ts) ->
-      let dst, restore_stats = Restore.restore m.prog dst_arch m.ti delivered in
-      let header = Stream.get_header (Xdr.reader_of_string delivered) in
-      Ok
-        ( dst,
-          {
-            poll_id = header.Stream.poll_id;
-            stream_bytes = String.length data;
-            collect_stats;
-            restore_stats;
-            transport_stats = Some ts;
-            src_arch = src.Interp.arch.Arch.name;
-            dst_arch = dst_arch.Arch.name;
-          } )
-
 type run_outcome = {
   migrated : bool;
   report : migration_report option;
-  transfer_failure : transfer_failure option;
-      (** set when the networked transfer aborted and the process fell
-          back to completing on the source machine *)
   output : string;        (** source-side output ^ destination-side output *)
   return_value : Mem.value option;
 }
@@ -170,15 +129,9 @@ type run_outcome = {
 (** Full scenario driver: start on [src_arch]; after [after_polls] poll
     events, migrate to [dst_arch]; run to completion.  If the program
     finishes before the migration triggers, it simply completes on the
-    source machine ([migrated = false]).
-
-    With [?channel] the stream crosses the simulated network through the
-    chunked transport; if the transfer aborts (too many corrupted
-    chunks), the source clears the migration request and runs the process
-    to completion locally — the degraded-but-correct path demanded of a
-    lossy link. *)
+    source machine ([migrated = false]). *)
 let run_migrating (m : migratable) ~(src_arch : Arch.t) ~(dst_arch : Arch.t)
-    ?(after_polls = 0) ?channel ?transport () : run_outcome =
+    ?(after_polls = 0) () : run_outcome =
   let src = start m src_arch in
   Interp.request_migration_after src after_polls;
   match Interp.run src with
@@ -186,38 +139,22 @@ let run_migrating (m : migratable) ~(src_arch : Arch.t) ~(dst_arch : Arch.t)
       {
         migrated = false;
         report = None;
-        transfer_failure = None;
         output = Interp.output src;
         return_value = v;
       }
   | Interp.RFuel -> assert false
   | Interp.RPolled _ -> (
-      let finish_on dst migrated report transfer_failure =
-        match Interp.run dst with
-        | Interp.RDone v ->
-            {
-              migrated;
-              report;
-              transfer_failure;
-              output =
-                (if dst == src then Interp.output src
-                 else Interp.output src ^ Interp.output dst);
-              return_value = v;
-            }
-        | Interp.RPolled id -> error "unexpected second migration at poll #%d" id
-        | Interp.RFuel -> assert false
-      in
-      match channel with
-      | None ->
-          let dst, report = migrate m src dst_arch in
-          finish_on dst true (Some report) None
-      | Some channel -> (
-          match migrate_over ?config:transport ~channel m src dst_arch with
-          | Ok (dst, report) -> finish_on dst true (Some report) None
-          | Error f ->
-              (* source resumes from its suspended state *)
-              Interp.clear_migration_request src;
-              finish_on src false None (Some f)))
+      let dst, report = migrate m src dst_arch in
+      match Interp.run dst with
+      | Interp.RDone v ->
+          {
+            migrated = true;
+            report = Some report;
+            output = Interp.output src ^ Interp.output dst;
+            return_value = v;
+          }
+      | Interp.RPolled id -> error "unexpected second migration at poll #%d" id
+      | Interp.RFuel -> assert false)
 
 (** Run without migrating at all, for reference outputs and overhead
     baselines. *)

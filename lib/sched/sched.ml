@@ -415,46 +415,28 @@ let checkpoint_now t (p : proc) =
 (** Crash-restart [p] on its current node from durable state: the
     in-memory interpreter is lost (its unfolded output buffer is
     discarded, {e not} folded — replay regenerates it).  Prefers the
-    newest {e committed} store manifest; falls back to [legacy], a
-    monolithic checkpoint file from the pre-store era; returns [false]
-    when neither yields a process.  Damaged manifests and files are
-    skipped silently — recovery never trusts a torn write. *)
-let recover_from_store t (p : proc) ?legacy () : bool =
-  match p.p_state with
-  | Finished _ -> false
-  | _ -> (
-      let recovered interp restored_bytes why =
-        p.p_interp <- interp;
-        p.p_cache <- Snapshot.new_cache ();
-        p.p_pending_dst <- None;
-        p.p_ckpt_pending <- false;
-        p.p_recoveries <- p.p_recoveries + 1;
-        p.p_bytes_restored <- p.p_bytes_restored + restored_bytes;
-        p.p_state <- Blocked_until (t.now +. t.handoff.Handoff.restart_delay_s);
-        log t (Recovered (t.now, p.p_name, p.p_node.n_name, "crash recovery: " ^ why));
-        true
-      in
-      let from_store =
-        match t.store with
-        | None -> None
-        | Some st ->
-            Snapshot.restore_latest p.p_m p.p_node.n_arch st ~proc:(store_name p)
-      in
-      match from_store with
-      | Some (interp, rstats, mf) ->
-          recovered interp rstats.Cstats.r_data_bytes
-            (Printf.sprintf "store manifest epoch %d" mf.Store.mf_epoch)
-      | None -> (
-          match legacy with
-          | None -> false
-          | Some path -> (
-              match Checkpoint.load p.p_m p.p_node.n_arch path with
-              | interp, rstats ->
-                  recovered interp rstats.Cstats.r_data_bytes "legacy checkpoint file"
-              | exception
-                  ( Checkpoint.Error _ | Restore.Error _ | Stream.Corrupt _
-                  | Hpm_xdr.Xdr.Underflow _ ) ->
-                  false)))
+    newest {e committed} store manifest; returns [false] when none
+    yields a process.  Damaged manifests are skipped silently — recovery
+    never trusts a torn write. *)
+let recover_from_store t (p : proc) : bool =
+  let from_store =
+    match (p.p_state, t.store) with
+    | Finished _, _ | _, None -> None
+    | _, Some st -> Snapshot.restore_latest p.p_m p.p_node.n_arch st ~proc:(store_name p)
+  in
+  match from_store with
+  | None -> false
+  | Some (interp, rstats, mf) ->
+      p.p_interp <- interp;
+      p.p_cache <- Snapshot.new_cache ();
+      p.p_pending_dst <- None;
+      p.p_ckpt_pending <- false;
+      p.p_recoveries <- p.p_recoveries + 1;
+      p.p_bytes_restored <- p.p_bytes_restored + rstats.Cstats.r_data_bytes;
+      p.p_state <- Blocked_until (t.now +. t.handoff.Handoff.restart_delay_s);
+      let why = Printf.sprintf "crash recovery: store manifest epoch %d" mf.Store.mf_epoch in
+      log t (Recovered (t.now, p.p_name, p.p_node.n_name, why));
+      true
 
 (* Resume on the source from a retained checkpoint (crash recovery or
    blocked-protocol stand-in).  Same-node rehome: only the interp swaps. *)

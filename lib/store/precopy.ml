@@ -73,6 +73,41 @@ let fold_stats (acc : Cstats.delta) (r : Cstats.delta) =
   acc.Cstats.d_chunks_reused <- acc.Cstats.d_chunks_reused + r.Cstats.d_chunks_reused;
   acc.Cstats.d_delta_bytes <- acc.Cstats.d_delta_bytes + r.Cstats.d_delta_bytes
 
+(** The final stop-and-copy round, shared by pre-copy's last round and a
+    planned replica migration ([Replica.migrate]).  [snapshot] collects
+    [src] at [epoch] and makes its chunks reachable through [lookup].
+    The full v2 stream materialised from that manifest is the durable
+    checkpoint; only the v3 delta against [base] crosses the wire.  The
+    round's counters are folded into [stats], and the handoff runs under
+    two-phase commit with the caller's [decode].  Returns the handoff
+    result with the round's manifest, counters and wire. *)
+let final_handoff ~config ?faults ~channel ~snapshot ~lookup ?base ~stats ~decode
+    ~epoch (m : Migration.migratable) (src : Interp.t) (dst_arch : Hpm_arch.Arch.t) =
+  let mf, rs = snapshot epoch in
+  let ckpt = Snapshot.materialize ~ti:m.Migration.ti ~lookup mf in
+  rs.Cstats.d_full_bytes <- String.length ckpt;
+  let wire = Store.encode_delta ?base ~stats:rs ~lookup mf in
+  fold_stats stats rs;
+  stats.Cstats.d_full_bytes <- String.length ckpt;
+  let cstats =
+    (* §4.2 shape of the synthesized full collection, for the unchanged
+       handoff reporting *)
+    let c = Cstats.collect_zero () in
+    c.Cstats.c_blocks <- Array.length mf.Store.mf_blocks;
+    c.Cstats.c_data_bytes <- rs.Cstats.d_data_bytes;
+    c.Cstats.c_stream_bytes <- String.length ckpt;
+    c.Cstats.c_frames <- List.length mf.Store.mf_frames;
+    c.Cstats.c_live_vars <- List.fold_left (fun a l -> a + List.length l) 0 mf.Store.mf_live;
+    c
+  in
+  let hres =
+    Handoff.execute ~config ?faults ~channel ~epoch
+      ~collect_fn:(fun () -> (ckpt, cstats))
+      ~encode:(fun _ -> wire)
+      ~decode m src dst_arch
+  in
+  (hres, mf, rs, wire)
+
 (** Pre-copy [src] (suspended at a poll-point) from its machine to
     [dst_arch], applying each round into [dst_store] under [proc], and
     hand off under two-phase commit.  Epochs are numbered from [epoch0]
@@ -223,24 +258,6 @@ let execute ?(config = default_config) ?faults ~(channel : Netsim.t)
                only the last delta on the wire while the durable artifact
                stays the full materialized stream *)
             let final_epoch = last_epoch + 1 in
-            let mf_f, rs_f = snapshot final_epoch in
-            let ckpt = Snapshot.materialize ~ti:m.Migration.ti ~lookup mf_f in
-            rs_f.Cstats.d_full_bytes <- String.length ckpt;
-            let wire = Store.encode_delta ~base ~stats:rs_f ~lookup mf_f in
-            fold_stats stats rs_f;
-            stats.Cstats.d_full_bytes <- String.length ckpt;
-            let cstats =
-              (* §4.2 shape of the synthesized full collection, for the
-                 unchanged handoff reporting *)
-              let c = Cstats.collect_zero () in
-              c.Cstats.c_blocks <- Array.length mf_f.Store.mf_blocks;
-              c.Cstats.c_data_bytes <- rs_f.Cstats.d_data_bytes;
-              c.Cstats.c_stream_bytes <- String.length ckpt;
-              c.Cstats.c_frames <- List.length mf_f.Store.mf_frames;
-              c.Cstats.c_live_vars <-
-                List.fold_left (fun a l -> a + List.length l) 0 mf_f.Store.mf_live;
-              c
-            in
             let decode delivered =
               match Store.apply dst_store ~expect_base:base delivered with
               | applied ->
@@ -255,11 +272,9 @@ let execute ?(config = default_config) ?faults ~(channel : Netsim.t)
             (* re-base the handoff's trace timeline onto the simulated
                time the pre-copy rounds consumed *)
             if Obs.on () then Obs.set_now (pts ());
-            let hres =
-              Handoff.execute ~config:config.handoff ?faults ~channel ~epoch:final_epoch
-                ~collect_fn:(fun () -> (ckpt, cstats))
-                ~encode:(fun _ -> wire)
-                ~decode m src dst_arch
+            let hres, _, rs_f, wire =
+              final_handoff ~config:config.handoff ?faults ~channel ~snapshot ~lookup ~base
+                ~stats ~decode ~epoch:final_epoch m src dst_arch
             in
             record
               {

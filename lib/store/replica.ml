@@ -385,6 +385,14 @@ let lookup_src t h =
   | Some payload -> payload
   | None -> Store.err "replica lost chunk %s" (Store.hash_hex h)
 
+(* Snapshot the source at [epoch]; its chunks join the source's union. *)
+let snapshot t epoch =
+  let mf, chunks, stats =
+    Snapshot.collect ~epoch ~proc:t.r_proc ~cache:t.r_cache t.r_src t.r_m.Migration.ti
+  in
+  Hashtbl.iter (Hashtbl.replace t.r_chunks) chunks;
+  (mf, stats)
+
 let tx t bytes =
   let s = Netsim.tx_time t.r_channel bytes in
   t.r_channel.Netsim.bytes_sent <- t.r_channel.Netsim.bytes_sent + bytes;
@@ -621,11 +629,7 @@ let stream_epoch t : step =
             ~args:[ ("epoch", Obs.Trace.I epoch); ("proc", Obs.Trace.S t.r_proc) ]
             "replica.epoch";
         let base = t.r_manifest in
-        let mf, chunks, stats =
-          Snapshot.collect ~epoch ~proc:t.r_proc ~cache:t.r_cache t.r_src
-            t.r_m.Migration.ti
-        in
-        Hashtbl.iter (Hashtbl.replace t.r_chunks) chunks;
+        let mf, stats = snapshot t epoch in
         let wire = Store.encode_delta ?base ~stats ~lookup:(lookup_src t) mf in
         Precopy.fold_stats t.r_stats stats;
         (* durable first: the store commit is the release point for both
@@ -827,27 +831,6 @@ let migrate ?faults t ~(sub : string) : migration_outcome =
            final delta is coded against the base it actually holds *)
         ignore (catch_up t sb : int);
         let base = t.r_manifest in
-        let mf, chunks, stats =
-          Snapshot.collect ~epoch:final_epoch ~proc:t.r_proc ~cache:t.r_cache
-            t.r_src t.r_m.Migration.ti
-        in
-        Hashtbl.iter (Hashtbl.replace t.r_chunks) chunks;
-        let ckpt = Snapshot.materialize ~ti:t.r_m.Migration.ti ~lookup:(lookup_src t) mf in
-        stats.Cstats.d_full_bytes <- String.length ckpt;
-        let wire = Store.encode_delta ?base ~stats ~lookup:(lookup_src t) mf in
-        Precopy.fold_stats t.r_stats stats;
-        t.r_stats.Cstats.d_full_bytes <- String.length ckpt;
-        let cstats =
-          let c = Cstats.collect_zero () in
-          c.Cstats.c_blocks <- Array.length mf.Store.mf_blocks;
-          c.Cstats.c_data_bytes <- stats.Cstats.d_data_bytes;
-          (* the wire carries only the final delta, not the full image *)
-          c.Cstats.c_stream_bytes <- String.length wire;
-          c.Cstats.c_frames <- List.length mf.Store.mf_frames;
-          c.Cstats.c_live_vars <-
-            List.fold_left (fun a l -> a + List.length l) 0 mf.Store.mf_live;
-          c
-        in
         let decode delivered =
           (* idempotent: a destination restarting after commit re-decodes
              its durable image; the duplicate is a no-op and the standby's
@@ -859,12 +842,10 @@ let migrate ?faults t ~(sub : string) : migration_outcome =
           | exception Store.Corrupt m -> Error m
         in
         if Obs.on () then Obs.set_now (Obs.now () +. t.r_time);
-        let hres =
-          Handoff.execute ~config:t.r_config.handoff ?faults ~channel:t.r_channel
-            ~epoch:final_epoch
-            ~collect_fn:(fun () -> (ckpt, cstats))
-            ~encode:(fun _ -> wire)
-            ~decode t.r_m t.r_src sb.sb_arch
+        let hres, mf, _, wire =
+          Precopy.final_handoff ~config:t.r_config.handoff ?faults ~channel:t.r_channel
+            ~snapshot:(snapshot t) ~lookup:(lookup_src t) ?base ~stats:t.r_stats ~decode
+            ~epoch:final_epoch t.r_m t.r_src sb.sb_arch
         in
         (match hres.Handoff.outcome with
         | Handoff.Committed _ ->

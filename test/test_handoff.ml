@@ -35,11 +35,6 @@ let handoff ?faults ?config ?tamper src =
   let res = Handoff.execute ?config ?faults ?tamper ~channel ~epoch:1 m p dst_arch in
   (res, pre, m, p)
 
-let finish_output pre (interp : Interp.t) =
-  match Interp.run interp with
-  | Interp.RDone _ -> pre ^ Interp.output interp
-  | _ -> Alcotest.fail "process did not run to completion"
-
 (* ------------------------------------------------------------------ *)
 (* Clean path                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -66,22 +61,6 @@ let test_clean_commit () =
 (* Crash matrix: every crash point × every workload, exactly once      *)
 (* ------------------------------------------------------------------ *)
 
-(* resolve a handoff outcome to the single surviving copy *)
-let survivor m pre (res : Handoff.result) =
-  match res.Handoff.outcome with
-  | Handoff.Committed c -> finish_output pre c.Handoff.c_dst
-  | Handoff.Source_recovered r -> finish_output pre r.Handoff.r_interp
-  | Handoff.Abort_requeue q ->
-      let interp, _ =
-        Handoff.resume_from_checkpoint m src_arch ~epoch:q.Handoff.q_epoch
-          q.Handoff.q_ckpt
-      in
-      finish_output pre interp
-  | Handoff.Stalled { s_ckpt; s_epoch; _ } ->
-      let interp, _ = Handoff.resume_from_checkpoint m src_arch ~epoch:s_epoch s_ckpt in
-      finish_output pre interp
-  | Handoff.Link_failed _ -> Alcotest.fail "unexpected link failure on a clean channel"
-
 let crash_cases =
   [
     (* who, phase, expected outcome head *)
@@ -105,7 +84,7 @@ let test_crash_matrix () =
             | `Src -> Netsim.node_faults ~crash_source_after:phase ()
             | `Dst -> Netsim.node_faults ~crash_dest_after:phase ()
           in
-          let res, pre, m, _ = handoff ~faults src in
+          let res, pre, m, p = handoff ~faults src in
           let got = Handoff.outcome_name res.Handoff.outcome in
           check_string (Printf.sprintf "%s/%s outcome" wname cname) want got;
           (* one-shot hooks were consumed by the crash *)
@@ -115,7 +94,7 @@ let test_crash_matrix () =
           (* exactly-once: the surviving copy completes with precisely the
              expected output — a doubled or dropped run would change it *)
           check_string (Printf.sprintf "%s/%s exactly-once" wname cname) expected
-            (survivor m pre res))
+            (finish_output pre (Handoff.survivor m p res)))
         crash_cases)
     workloads
 

@@ -59,6 +59,10 @@ let test_precopy_commits () =
       | [] -> Alcotest.fail "no rounds recorded");
       match pres.Precopy.p_outcome with
       | Precopy.Handed_off { Handoff.outcome = Handoff.Committed c; _ } -> (
+          check_int "collect stats report the full stream"
+            pres.Precopy.p_stats.Cstats.d_full_bytes c.Handoff.c_cstats.Cstats.c_stream_bytes;
+          check_int "the handoff's stream is the full stream" c.Handoff.c_stream_bytes
+            c.Handoff.c_cstats.Cstats.c_stream_bytes;
           (* resume the destination copy: combined output is exactly one run *)
           let pre = Interp.output src in
           let out =
@@ -178,6 +182,8 @@ let test_sched_crash_recovery_from_store () =
           [ slow ]
       in
       let p = Sched.spawn sim slow "q7" (nqueens 7) in
+      check_bool "no recovery without any durable state" false
+        (Sched.recover_from_store sim p);
       (* run until at least two checkpoints are durable, then "crash" and
          recover from the store *)
       while List.length (Store.manifest_epochs st ~proc:"q7") < 2 do
@@ -196,7 +202,7 @@ let test_sched_crash_recovery_from_store () =
       let oc = open_out path in
       output_string oc "torn write";
       close_out oc;
-      check_bool "recovered" true (Sched.recover_from_store sim p ());
+      check_bool "recovered" true (Sched.recover_from_store sim p);
       check_int "one recovery counted" 1 p.Sched.p_recoveries;
       let _ = Sched.run sim in
       check_string "output exactly once after crash" "40\n" (Sched.output p);
@@ -209,25 +215,6 @@ let test_sched_crash_recovery_from_store () =
                      (List.nth epochs 1)
              | _ -> false)
            (Sched.events sim)))
-
-let test_sched_recovery_falls_back_to_legacy () =
-  (* no store manifests: recovery uses the legacy monolithic file *)
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> try rm_rf dir with _ -> ())
-    (fun () ->
-      let m = nqueens 7 in
-      let legacy = Filename.concat dir "legacy.ckpt" in
-      let _ = Checkpoint.run_and_save m Hpm_arch.Arch.dec5000 ~after_polls:3 legacy in
-      let slow = Sched.node "slow" Hpm_arch.Arch.dec5000 in
-      let sim = Sched.create ~channel:(Netsim.ethernet_10 ()) [ slow ] in
-      let p = Sched.spawn sim slow "q7" m in
-      check_bool "no recovery without any durable state" false
-        (Sched.recover_from_store sim p ());
-      check_bool "legacy file recovers" true (Sched.recover_from_store sim p ~legacy ());
-      let _ = Sched.run sim in
-      check_string "output correct from legacy resume" "40\n" (Sched.output p))
 
 let test_sched_precopy_migration () =
   with_store (fun st ->
@@ -264,6 +251,5 @@ let suite =
     tc "source finishing mid-pre-copy aborts the move" test_finished_before_handoff;
     tc "scheduler takes periodic checkpoints" test_sched_periodic_checkpoints;
     tc "scheduler crash recovery skips a torn manifest" test_sched_crash_recovery_from_store;
-    tc "scheduler recovery falls back to a legacy file" test_sched_recovery_falls_back_to_legacy;
     tc "scheduler pre-copy migration" test_sched_precopy_migration;
   ]

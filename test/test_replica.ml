@@ -409,6 +409,12 @@ let test_planned_migration_final_delta () =
             (Printf.sprintf "final delta %dB < full state %dB" final_bytes full_bytes)
             true
             (final_bytes > 0 && final_bytes < full_bytes);
+          (* the collect stats describe the full materialised stream, as
+             Collect.collect's do; the delta wire is [final_bytes] *)
+          check_int "collect stats report the full stream" full_bytes
+            c.Handoff.c_cstats.Cstats.c_stream_bytes;
+          check_int "the handoff's stream is the full stream" full_bytes
+            c.Handoff.c_stream_bytes;
           check_int "store's newest durable point is the final epoch" 4
             (Replica.epoch r);
           let rest =

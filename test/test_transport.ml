@@ -199,16 +199,16 @@ let test_migration_survives_lossy_link () =
   let faults = Netsim.fault_model ~loss_rate:0.2 ~corrupt_rate:0.2 ~seed:5 () in
   let channel = Netsim.ethernet_10 ~faults () in
   let transport = { Transport.default_config with Transport.chunk_size = 256 } in
-  let o =
-    Migration.run_migrating m ~src_arch:Hpm_arch.Arch.dec5000
-      ~dst_arch:Hpm_arch.Arch.sparc20 ~after_polls:400 ~channel ~transport ()
-  in
-  check_bool "migrated" true o.Migration.migrated;
-  check_string "output correct across the lossy link" expected o.Migration.output;
-  match o.Migration.report with
-  | Some { Migration.transport_stats = Some ts; _ } ->
-      check_bool "chunked" true (ts.Transport.t_chunks > 1)
-  | _ -> Alcotest.fail "expected transport stats in the report"
+  let config = { Handoff.default_config with Handoff.transport } in
+  let src, _ = suspend m Hpm_arch.Arch.dec5000 400 in
+  let pre = Hpm_machine.Interp.output src in
+  let res = Handoff.execute ~config ~channel ~epoch:1 m src Hpm_arch.Arch.sparc20 in
+  match res.Handoff.outcome with
+  | Handoff.Committed c ->
+      check_bool "chunked" true (c.Handoff.c_tstats.Transport.t_chunks > 1);
+      check_string "output correct across the lossy link" expected
+        (finish_output pre c.Handoff.c_dst)
+  | o -> Alcotest.failf "expected Committed, got %s" (Handoff.outcome_name o)
 
 let test_abort_leaves_source_runnable () =
   (* 100% corruption: every chunk fails every time; the destination aborts
@@ -217,18 +217,18 @@ let test_abort_leaves_source_runnable () =
   let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
   let faults = Netsim.fault_model ~corrupt_rate:1.0 ~seed:3 () in
   let channel = Netsim.ethernet_10 ~faults () in
-  let o =
-    Migration.run_migrating m ~src_arch:Hpm_arch.Arch.dec5000
-      ~dst_arch:Hpm_arch.Arch.sparc20 ~after_polls:400 ~channel ()
-  in
-  check_bool "not migrated" false o.Migration.migrated;
-  (match o.Migration.transfer_failure with
-  | Some f ->
-      check_int "first chunk exhausted" 0 f.Migration.f_seq;
+  let src, _ = suspend m Hpm_arch.Arch.dec5000 400 in
+  let pre = Hpm_machine.Interp.output src in
+  let res = Handoff.execute ~channel ~epoch:1 m src Hpm_arch.Arch.sparc20 in
+  (match res.Handoff.outcome with
+  | Handoff.Link_failed l ->
+      check_int "first chunk exhausted" 0 l.Handoff.l_seq;
       check_int "all attempts used" (Transport.default_config.Transport.max_retries + 1)
-        f.Migration.f_attempts
-  | None -> Alcotest.fail "expected a transfer failure");
-  check_string "source finished the work itself" expected o.Migration.output
+        l.Handoff.l_attempts
+  | o -> Alcotest.failf "expected Link_failed, got %s" (Handoff.outcome_name o));
+  let home = Handoff.survivor m src res in
+  check_bool "the source survives" true (home == src);
+  check_string "source finished the work itself" expected (finish_output pre home)
 
 let test_abort_source_can_retry_later () =
   (* after an abort the suspended source is intact: a later migration over
@@ -237,19 +237,17 @@ let test_abort_source_can_retry_later () =
   let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
   let src, _ = suspend m Hpm_arch.Arch.dec5000 400 in
   let bad = Netsim.ethernet_10 ~faults:(Netsim.fault_model ~corrupt_rate:1.0 ~seed:9 ()) () in
-  (match Migration.migrate_over ~channel:bad m src Hpm_arch.Arch.sparc20 with
-  | Ok _ -> Alcotest.fail "fully corrupted link delivered"
-  | Error _ -> ());
+  let first = Handoff.execute ~channel:bad ~epoch:1 m src Hpm_arch.Arch.sparc20 in
+  (match first.Handoff.outcome with
+  | Handoff.Link_failed _ -> ()
+  | o -> Alcotest.failf "fully corrupted link: expected Link_failed, got %s" (Handoff.outcome_name o));
   let good = Netsim.ethernet_10 () in
-  match Migration.migrate_over ~channel:good m src Hpm_arch.Arch.sparc20 with
-  | Error f -> Alcotest.failf "clean retry failed: %s" f.Migration.f_reason
-  | Ok (dst, _) -> (
-      match Hpm_machine.Interp.run dst with
-      | Hpm_machine.Interp.RDone _ ->
-          check_string "second attempt delivered"
-            expected
-            (Hpm_machine.Interp.output src ^ Hpm_machine.Interp.output dst)
-      | _ -> Alcotest.fail "destination did not finish")
+  let retry = Handoff.execute ~channel:good ~epoch:2 m src Hpm_arch.Arch.sparc20 in
+  match retry.Handoff.outcome with
+  | Handoff.Committed c ->
+      check_string "second attempt delivered" expected
+        (finish_output (Hpm_machine.Interp.output src) c.Handoff.c_dst)
+  | o -> Alcotest.failf "clean retry: expected Committed, got %s" (Handoff.outcome_name o)
 
 (* ---------------------------------------------------------------- *)
 (* Heartbeat frames                                                  *)

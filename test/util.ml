@@ -52,6 +52,13 @@ let suspend m arch after =
   | Hpm_machine.Interp.RDone _ -> Alcotest.fail "program finished before the poll"
   | Hpm_machine.Interp.RFuel -> Alcotest.fail "out of fuel"
 
+(* Run [interp] to completion; the output is [pre] (what the source
+   printed before a handoff) followed by [interp]'s own. *)
+let finish_output pre (interp : Hpm_machine.Interp.t) =
+  match Hpm_machine.Interp.run interp with
+  | Hpm_machine.Interp.RDone _ -> pre ^ Hpm_machine.Interp.output interp
+  | _ -> Alcotest.fail "process did not run to completion"
+
 let check_string = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
