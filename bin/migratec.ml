@@ -221,12 +221,12 @@ let cmd_graph =
             exit 1
         | Hpm_machine.Interp.RFuel -> assert false
         | Hpm_machine.Interp.RPolled id ->
-            let g = Hpm_msr.Graph.snapshot p in
-            let g = if reachable then Hpm_msr.Graph.reachable_from_roots p g else g in
-            if dot then print_string (Hpm_msr.Graph.to_dot g)
+            let g = Graph.snapshot p in
+            let g = if reachable then Graph.reachable_from_roots p g else g in
+            if dot then print_string (Graph.to_dot g)
             else (
               Fmt.pr "suspended at poll #%d@." id;
-              Fmt.pr "%a" Hpm_msr.Graph.pp g))
+              Fmt.pr "%a" Graph.pp g))
   in
   Cmd.v (Cmd.info "graph" ~doc:"print the MSR graph at a poll-point")
     Term.(const run $ file_arg $ after_arg $ dot_arg $ arch_arg $ reachable_arg $ no_lint_arg)

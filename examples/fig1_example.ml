@@ -58,11 +58,11 @@ let () =
   Hpm_machine.Interp.request_migration_after p 4;
   match Hpm_machine.Interp.run p with
   | Hpm_machine.Interp.RPolled _ ->
-      let g = Hpm_msr.Graph.snapshot p in
-      let g = Hpm_msr.Graph.user_only (Hpm_msr.Graph.reachable_from_roots p g) in
-      if dot then print_string (Hpm_msr.Graph.to_dot g)
+      let g = Graph.snapshot p in
+      let g = Graph.user_only (Graph.reachable_from_roots p g) in
+      if dot then print_string (Graph.to_dot g)
       else (
-        Fmt.pr "%a" Hpm_msr.Graph.pp g;
+        Fmt.pr "%a" Graph.pp g;
         Fmt.pr
           "@.The paper's Figure 1(b) shows 12 vertices (first, last, i, a, b,@.\
            parray, addr1-addr4, p, q) — check them above.  Now migrating the@.\

@@ -20,7 +20,8 @@
     {!collect}'s stream writer emits definitions inline and visited
     blocks as (mi_id, ordinal) references; [Hpm_store.Snapshot.collect]
     is the second handler, cutting the same walk into per-block
-    chunks. *)
+    chunks.  {!resolve}, the walk's address translation, is also the
+    one {!Verify} and {!Graph} use. *)
 
 open Hpm_lang
 open Hpm_xdr
@@ -97,44 +98,63 @@ let start ~since (interp : Interp.t) : t =
     poll_id;
   }
 
-(* Ordinal of the element at [addr] inside [block]; the one-past-the-end
-   address maps to ordinal = element count. *)
-let ordinal_at w (block : Mem.block) (addr : int64) : int =
-  let off = Int64.to_int (Int64.sub addr block.Mem.base) in
-  let elems = Tplan.elems w.plans block.Mem.ty in
-  if off = block.Mem.size then Layout.elem_count elems
+(** Where a pointer value leads. *)
+type resolved =
+  | Rnull
+  | Rfunc of int  (** index of the function the address names *)
+  | Rblock of Mem.block * int
+      (** the block and the ordinal of the element the address lands on;
+          one past the end is ordinal = element count *)
+  | Rwild of string  (** wild or dangling: the {!Mem.Fault} message *)
+  | Rmisaligned of Mem.block * int
+      (** inside the block at this byte offset, which is not an element
+          boundary *)
+
+(** The paper's Save_pointer translation, the only one: map [addr] to
+    (block, element ordinal) through [find], which raises {!Mem.Fault}
+    on an address no live block contains.  Collection passes its MSRLT
+    search, so every probe is counted; {!Verify} and {!Graph} pass
+    {!Mem.find_block}.  Each caller applies its own policy to the bad
+    cases. *)
+let resolve plans ~find (prog : Ir.prog) (addr : int64) : resolved =
+  let ordinal (block : Mem.block) =
+    let off = Int64.to_int (Int64.sub addr block.Mem.base) in
+    match Layout.ordinal_of_byte (Tplan.elems plans block.Mem.ty) off with
+    | Some o -> Rblock (block, o)
+    | None -> Rmisaligned (block, off)
+  in
+  if Int64.equal addr 0L then Rnull
+  else if Interp.is_func_addr prog addr then
+    Rfunc (Int64.to_int (Int64.div (Int64.sub addr Interp.text_base) 64L))
   else
-    match Layout.ordinal_of_byte elems off with
-    | Some o -> o
-    | None ->
-        error
-          "pointer 0x%Lx lands at byte %d of block #%d (%s), which is not an element \
-           boundary"
-          addr off block.Mem.bid (Ty.to_string block.Mem.ty)
+    match find addr with
+    | block -> ordinal block
+    | exception Mem.Fault m -> (
+        (* a one-past-the-end pointer (legal C) does not land inside its
+           block: retry on the last byte and confirm the address is
+           exactly base+size *)
+        match find (Int64.sub addr 1L) with
+        | b when Int64.equal addr (Int64.add b.Mem.base (Int64.of_int b.Mem.size)) ->
+            Rblock (b, Layout.elem_count (Tplan.elems plans b.Mem.ty))
+        | _ -> Rwild m
+        | exception Mem.Fault _ -> Rwild m)
 
 (* The paper's Save_pointer: translate a pointer value and walk an
    unvisited target. *)
 let rec save_ptr w h (v : Mem.value) : unit =
   w.stats.Cstats.c_pointers <- w.stats.Cstats.c_pointers + 1;
   match v with
-  | Mem.Vptr 0L -> h.pointer Null
-  | Mem.Vptr addr when Interp.is_func_addr w.interp.Interp.prog addr ->
-      h.pointer (Func (Int64.to_int (Int64.div (Int64.sub addr Interp.text_base) 64L)))
-  | Mem.Vptr addr ->
-      let block =
-        (* a one-past-the-end pointer (legal C) does not land inside its
-           block: retry on the last byte and confirm the address is
-           exactly base+size *)
-        try Msrlt.search w.col addr
-        with Mem.Fault m -> (
-          match Msrlt.search w.col (Int64.sub addr 1L) with
-          | b
-            when Int64.equal addr (Int64.add b.Mem.base (Int64.of_int b.Mem.size)) ->
-              b
-          | _ -> error "collection reached a bad pointer: %s" m
-          | exception Mem.Fault _ -> error "collection reached a bad pointer: %s" m)
-      in
-      save_edge w h block (ordinal_at w block addr)
+  | Mem.Vptr addr -> (
+      match resolve w.plans ~find:(Msrlt.search w.col) w.interp.Interp.prog addr with
+      | Rnull -> h.pointer Null
+      | Rfunc i -> h.pointer (Func i)
+      | Rblock (block, ord) -> save_edge w h block ord
+      | Rwild m -> error "collection reached a bad pointer: %s" m
+      | Rmisaligned (block, off) ->
+          error
+            "pointer 0x%Lx lands at byte %d of block #%d (%s), which is not an element \
+             boundary"
+            addr off block.Mem.bid (Ty.to_string block.Mem.ty))
   | v -> error "save_pointer of non-pointer value %s" (Fmt.str "%a" Mem.pp_value v)
 
 and save_edge w h (block : Mem.block) ord : unit =

@@ -4,9 +4,10 @@
     model: vertices are memory blocks, edges run from each non-null
     pointer element to the block (and element) it references.  The
     migration machinery itself never materializes this graph — collection
-    is a fused depth-first traversal — but the explicit structure is what
-    tests, the Fig. 1 example, and the graph statistics in the benchmarks
-    inspect, and [to_dot] renders it for humans. *)
+    is a fused depth-first traversal — but tests, the Fig. 1 example and
+    [migratec graph] inspect it, and [to_dot] renders it for humans.
+    Pointers resolve through {!Collect.resolve}, and {!reachable} is the
+    roots-and-reachability pass {!Verify}'s orphan check shares. *)
 
 open Hpm_lang
 open Hpm_machine
@@ -23,7 +24,9 @@ type edge = {
   e_src : int;              (** source block id *)
   e_src_ord : int;          (** ordinal of the pointer element in the source *)
   e_dst : int;              (** destination block id *)
-  e_dst_ord : int;          (** ordinal of the referenced element *)
+  e_dst_ord : int;
+      (** ordinal of the referenced element (count = one past the end;
+          -1 marks a misaligned interior address) *)
 }
 
 type t = { vertices : vertex list; edges : edge list }
@@ -35,71 +38,59 @@ let vertex_of_block (b : Mem.block) =
   { v_bid = b.Mem.bid; v_ident = b.Mem.ident; v_ty = b.Mem.ty; v_size = b.Mem.size; v_seg = b.Mem.seg }
 
 (** Build the MSR graph of the whole live memory of [interp]'s process:
-    every live block is a vertex; every well-formed non-null pointer
-    element yields an edge.  Dangling and wild pointer values contribute
-    no edge (collection would fault on them; the graph view is used for
-    inspection and is deliberately tolerant). *)
+    every live block is a vertex; every non-null data-pointer element
+    that lands in a live block (or one past its end) yields an edge.
+    Wild and dangling values contribute no edge and a misaligned
+    interior address gets ordinal -1 (collection would fault on both;
+    the graph view is used for inspection and is deliberately
+    tolerant). *)
 let snapshot (interp : Interp.t) : t =
   let mem = interp.Interp.mem in
-  let layout = mem.Mem.layout in
+  let plans = Tplan.cache mem.Mem.layout and find = Mem.find_block mem in
   let blocks = Mem.live_blocks mem in
-  let vertices = List.map vertex_of_block blocks in
   let edges = ref [] in
   List.iter
     (fun (b : Mem.block) ->
-      let elems = Layout.elems layout b.Mem.ty in
-      let n = Layout.elem_count elems in
-      for ord = 0 to n - 1 do
-        match Layout.kind_of_ordinal elems ord with
-        | Ty.KPtr _ -> (
-            let off = Layout.byte_of_ordinal elems ord in
-            match Mem.load_scalar mem b off (Layout.kind_of_ordinal elems ord) with
-            | Mem.Vptr 0L -> ()
-            | Mem.Vptr addr -> (
-                match Mem.find_block_opt mem addr with
-                | None -> () (* dangling: no edge *)
-                | Some dst ->
-                    let doff = Int64.to_int (Int64.sub addr dst.Mem.base) in
-                    let delems = Layout.elems layout dst.Mem.ty in
-                    let dord =
-                      if doff = dst.Mem.size then Layout.elem_count delems
-                      else
-                        match Layout.ordinal_of_byte delems doff with
-                        | Some o -> o
-                        | None -> -1 (* misaligned interior pointer *)
-                    in
-                    edges :=
-                      { e_src = b.Mem.bid; e_src_ord = ord; e_dst = dst.Mem.bid; e_dst_ord = dord }
-                      :: !edges)
-            | _ -> ())
-        | Ty.KFunc _ | _ -> ()
-      done)
+      Array.iter
+        (function
+          | Tplan.Ptr { ord; off; kind = Ty.KPtr _ as kind } -> (
+              let edge (dst : Mem.block) e_dst_ord =
+                edges :=
+                  { e_src = b.Mem.bid; e_src_ord = ord; e_dst = dst.Mem.bid; e_dst_ord } :: !edges
+              in
+              match Mem.load_scalar mem b off kind with
+              | Mem.Vptr addr -> (
+                  match Collect.resolve plans ~find interp.Interp.prog addr with
+                  | Collect.Rblock (dst, dord) -> edge dst dord
+                  | Collect.Rmisaligned (dst, _) -> edge dst (-1)
+                  | Collect.Rnull | Collect.Rfunc _ | Collect.Rwild _ -> ())
+              | _ -> ())
+          | _ -> ())
+        (Tplan.plan plans b.Mem.ty).Tplan.segs)
     blocks;
-  { vertices; edges = List.rev !edges }
+  { vertices = List.map vertex_of_block blocks; edges = List.rev !edges }
 
-(** Restrict to the component reachable from roots: globals, string
-    literals, and the locals of live frames.  This is the sub-graph a
-    migration actually has to move. *)
-let reachable_from_roots (interp : Interp.t) (g : t) : t =
+(** The block ids reachable along [edges] from the roots of [interp]:
+    globals, string literals, and every local of every live frame. *)
+let reachable (interp : Interp.t) (edges : edge list) : (int, unit) Hashtbl.t =
   let adj = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      Hashtbl.replace adj e.e_src (e.e_dst :: (Option.value ~default:[] (Hashtbl.find_opt adj e.e_src))))
-    g.edges;
-  let roots = ref [] in
-  Hashtbl.iter (fun _ (b : Mem.block) -> roots := b.Mem.bid :: !roots) interp.Interp.globals;
-  Array.iter (fun (b : Mem.block) -> roots := b.Mem.bid :: !roots) interp.Interp.string_blocks;
-  List.iter
-    (fun (fr : Interp.frame) ->
-      Hashtbl.iter (fun _ (b : Mem.block) -> roots := b.Mem.bid :: !roots) fr.Interp.locals)
-    interp.Interp.stack;
+  List.iter (fun e -> Hashtbl.add adj e.e_src e.e_dst) edges;
   let mark = Hashtbl.create 64 in
   let rec dfs v =
     if not (Hashtbl.mem mark v) then (
       Hashtbl.replace mark v ();
-      List.iter dfs (Option.value ~default:[] (Hashtbl.find_opt adj v)))
+      List.iter dfs (Hashtbl.find_all adj v))
   in
-  List.iter dfs !roots;
+  let root _ (b : Mem.block) = dfs b.Mem.bid in
+  Hashtbl.iter root interp.Interp.globals;
+  Array.iter (root ()) interp.Interp.string_blocks;
+  List.iter (fun (fr : Interp.frame) -> Hashtbl.iter root fr.Interp.locals) interp.Interp.stack;
+  mark
+
+(** Restrict to the component reachable from roots: the sub-graph a
+    migration actually has to move. *)
+let reachable_from_roots (interp : Interp.t) (g : t) : t =
+  let mark = reachable interp g.edges in
   {
     vertices = List.filter (fun v -> Hashtbl.mem mark v.v_bid) g.vertices;
     edges = List.filter (fun e -> Hashtbl.mem mark e.e_src) g.edges;
@@ -122,9 +113,6 @@ let user_only (g : t) : t =
         (fun e -> not (Hashtbl.mem dropped e.e_src || Hashtbl.mem dropped e.e_dst))
         g.edges;
   }
-
-(** Total bytes over the graph's vertices — the Σ Dᵢ of §4.2. *)
-let total_bytes g = List.fold_left (fun acc v -> acc + v.v_size) 0 g.vertices
 
 let pp_vertex ppf v =
   Fmt.pf ppf "v%d(%s: %s, %dB, %s)" v.v_bid

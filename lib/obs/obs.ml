@@ -193,6 +193,8 @@ module Metrics = struct
        "active journal segments rotated out at the size threshold");
       ("hpm_journal_segments", Gauge,
        "closed journal segment files on disk (0 after compaction)");
+      ("hpm_journal_torn_tail_bytes_total", Counter,
+       "bytes of a torn final line dropped from the active journal file on open");
       ("hpm_cluster_events_total", Counter,
        "discrete events executed by the cluster engine, by kind");
       ("hpm_cluster_inflight_migrations", Gauge,

@@ -8,12 +8,11 @@
    a journal line is greppable and `jq`-able — and are written and read
    with the repo's one JSON codec ({!Hpm_obs.Json}).
 
-   Durability discipline matches the store: every append rewrites the
-   whole log through the same tmp+rename commit as manifests
-   ([Store.write_file_atomic]), so a reader never observes a torn line
-   from a crashed writer that used this module.  A *truncated* file
-   (e.g. copied mid-write by an external tool) parses up to the damage
-   and then raises the typed [Corrupt] error — never a crash. *)
+   Appends are append-only writes to the active file, flushed at once
+   (see "The on-disk log" below), so a writer crash can leave a torn
+   final line there.  [open_journal] drops such a tail and counts it;
+   the read-only [load] raises the typed [Corrupt] error on it, as on
+   any other damage — never a crash. *)
 
 module Json = Hpm_obs.Json
 
@@ -200,8 +199,9 @@ let parse_entry (line : string) : entry =
 
 (** Parse a whole journal file body.  Every record must end in a
     newline; bytes after the last newline are a truncated tail —
-    rejected with [Corrupt], not silently dropped, because a journal
-    that lost its tail has lost events and the operator must know. *)
+    rejected with [Corrupt], because a journal that lost its tail has
+    lost events and the operator must know.  Only [open_journal], the
+    writer, drops a torn tail of the active file, and it counts it. *)
 let parse_body (body : string) : entry list =
   let n = String.length body in
   let rec lines acc pos =
@@ -299,14 +299,13 @@ let read_file_opt path =
       Some s
     with Sys_error m -> corrupt "journal: cannot read %s: %s" path m
 
+let parse_file p =
+  match read_file_opt p with None -> [] | Some body -> parse_body body
+
 (** Load the entries of [path] — every closed segment in sequence, then
     the active file.  An absent journal is empty. *)
 let load (path : string) : entry list =
-  let parts = segment_paths path @ [ path ] in
-  List.concat_map
-    (fun p ->
-      match read_file_opt p with None -> [] | Some body -> parse_body body)
-    parts
+  List.concat_map parse_file (segment_paths path @ [ path ])
 
 let dummy_entry =
   {
@@ -339,8 +338,12 @@ let active_channel t =
 
 (** Open (creating if needed) the journal at [path].  [segment_bytes]
     bounds the active file: an append that would push it past the
-    threshold first rotates it into the next closed segment.
-    @raise Corrupt when an existing file does not parse. *)
+    threshold first rotates it into the next closed segment.  The bytes
+    after the active file's last newline — the torn line a crashed
+    append leaves — are truncated away and counted in
+    [hpm_journal_torn_tail_bytes_total].
+    @raise Corrupt when a closed segment, or a line of the active file
+    before its last newline, does not parse. *)
 let open_journal ?(segment_bytes = default_segment_bytes) (path : string) : t =
   if segment_bytes <= 0 then
     invalid_arg "Journal.open_journal: segment_bytes must be positive";
@@ -355,13 +358,22 @@ let open_journal ?(segment_bytes = default_segment_bytes) (path : string) : t =
         let seq = String.sub stem (String.length stem - 5) 5 in
         try int_of_string seq + 1 with _ -> List.length segs + 1)
   in
+  let closed = List.concat_map parse_file segs in
+  let body = Option.value ~default:"" (read_file_opt path) in
+  let keep = match String.rindex_opt body '\n' with Some i -> i + 1 | None -> 0 in
+  let active = parse_body (String.sub body 0 keep) in
+  if keep < String.length body then begin
+    Unix.truncate path keep;
+    if Hpm_obs.Obs.metrics_on () then
+      Hpm_obs.Obs.inc "hpm_journal_torn_tail_bytes_total" []
+        ~by:(float_of_int (String.length body - keep))
+  end;
   let t =
     {
       jt_path = path;
       jt_segment_bytes = segment_bytes;
       jt_oc = None;
-      jt_active_bytes =
-        (match read_file_opt path with None -> 0 | Some b -> String.length b);
+      jt_active_bytes = keep;
       jt_next_seg = next_seg;
       jt_entries = [||];
       jt_count = 0;
@@ -369,7 +381,7 @@ let open_journal ?(segment_bytes = default_segment_bytes) (path : string) : t =
       jt_bytes_written = 0;
     }
   in
-  List.iter (push_entry t) (load path);
+  List.iter (push_entry t) (closed @ active);
   t
 
 (** Flush and close the active file handle.  The journal stays usable —
@@ -397,9 +409,10 @@ let rotate (t : t) : unit =
 
 (** Append one record: an append-only write to the active segment,
     flushed before returning — amortized O(1) per entry.  A writer
-    crash can leave at most a truncated final line, which the loader
-    surfaces as the typed [Corrupt] (never silent data loss); committed
-    segments are immutable and rotation is a single atomic rename. *)
+    crash can leave at most a truncated final line, which the next
+    [open_journal] truncates and counts and [load] surfaces as the
+    typed [Corrupt] (never silent data loss); committed segments are
+    immutable and rotation is a single atomic rename. *)
 let append (t : t) (e : entry) : unit =
   let line = encode_entry e ^ "\n" in
   if

@@ -336,6 +336,36 @@ let test_verify_one_past_end_accepted () =
   let _ = Verify.check p m.Migration.ti in
   ()
 
+let test_one_past_end_only_reference_commits () =
+  (* the array's only reference is one past its end: collection moves it,
+     so the verifier must see that edge and not call the array an orphan *)
+  let src =
+    {|
+int main() {
+  int *a;
+  int *end;
+  int i;
+  a = (int *) malloc(4 * sizeof(int));
+  for (i = 0; i < 4; i++) a[i] = 10 * (i + 1);
+  end = a + 4;
+  a = 0;
+  #pragma poll here
+  print_int(end[-1] + end[-4]);
+  return 0;
+}
+|}
+  in
+  let m = prepare_user src in
+  let p, _ = suspend m src_arch 0 in
+  let pre = Interp.output p in
+  let res = Handoff.execute ~channel:(Netsim.ethernet_100 ()) ~epoch:1 m p dst_arch in
+  match res.Handoff.outcome with
+  | Handoff.Committed c ->
+      let out, _, _ = Migration.run_plain m src_arch in
+      check_string "survivor output" out (finish_output pre c.Handoff.c_dst)
+  | Handoff.Abort_requeue q -> Alcotest.failf "abort-requeue: %s" q.Handoff.q_reason
+  | o -> Alcotest.failf "expected Committed, got %s" (Handoff.outcome_name o)
+
 let test_tampered_restore_aborts_handoff () =
   (* in-protocol seeded corruption: the verifier must NAK the epoch *)
   let src = Hpm_workloads.Test_pointer.source 0 in
@@ -449,6 +479,7 @@ let suite =
     tc "verifier rejects an orphan heap block" test_verify_orphan_heap_block;
     tc "verifier rejects a type with no TI entry" test_verify_type_without_ti_entry;
     tc "verifier accepts one-past-the-end" test_verify_one_past_end_accepted;
+    tc "one-past-the-end only reference commits" test_one_past_end_only_reference_commits;
     tc "tampered restore NAKs the epoch" test_tampered_restore_aborts_handoff;
     tc "scheduler re-queues on destination crash" test_sched_requeues_on_dest_crash;
     tc "scheduler recovers a crashed source locally" test_sched_source_crash_recovers_locally;

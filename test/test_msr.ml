@@ -3,6 +3,7 @@
 open Hpm_lang
 open Hpm_ir
 open Hpm_msr
+open Hpm_core
 open Util
 
 let prog_of src =
@@ -200,6 +201,26 @@ int main() {
   in
   check_int "interior ordinal" 7 e.Graph.e_dst_ord
 
+let test_graph_one_past_end_edge () =
+  let src =
+    {|
+int main() {
+  int a[10];
+  int *p;
+  a[9] = 1;
+  p = &a[10];
+  #pragma poll here
+  print_int(*(p - 1));
+  return 0;
+}
+|}
+  in
+  let m = prepare_user src in
+  let p, _ = suspend m Hpm_arch.Arch.ultra5 0 in
+  let g = Graph.user_only (Graph.snapshot p) in
+  check_int "one edge" 1 (Graph.edge_count g);
+  check_int "one-past-the-end ordinal" 10 (List.hd g.Graph.edges).Graph.e_dst_ord
+
 let test_graph_dot () =
   let m = prepare_user "int main() { int x; int *p; p = &x; #pragma poll h\n return 0; }" in
   let p, _ = suspend m Hpm_arch.Arch.ultra5 0 in
@@ -218,5 +239,6 @@ let suite =
     tc "MSRLT sparse binds and holes" test_msrlt_sparse_binds;
     tc "Figure 1 graph" test_graph_fig1;
     tc "interior pointer edges" test_graph_interior_edge;
+    tc "one-past-the-end pointer edges" test_graph_one_past_end_edge;
     tc "dot output" test_graph_dot;
   ]

@@ -305,6 +305,39 @@ let test_journal_truncated_tail () =
       check_bool "absent journal is empty, not an error" true
         (Journal.load (Filename.concat dir "nope.hpmj") = []))
 
+let test_journal_torn_tail_reopens () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "j.hpmj" in
+      let entry i =
+        Journal.entry ~ts:(float_of_int i) ~ev:Journal.Checkpointed ~proc:"p" ~epoch:i ()
+      in
+      let j = Journal.open_journal path in
+      List.iter (fun i -> Journal.append j (entry i)) [ 1; 2; 3 ];
+      Journal.close j;
+      (* a crashed append: half of the fourth line, no newline *)
+      let half =
+        let line = Journal.encode_entry (entry 9) in
+        String.sub line 0 (String.length line / 2)
+      in
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      output_string oc half;
+      close_out oc;
+      let reg = Obs.Metrics.create () in
+      Obs.set_metrics (Some reg);
+      let j =
+        Fun.protect ~finally:Obs.reset (fun () -> Journal.open_journal path)
+      in
+      check_int "torn tail counted" (String.length half)
+        (int_of_float
+           (Option.value ~default:0.0
+              (Obs.Metrics.value reg "hpm_journal_torn_tail_bytes_total" [])));
+      check_bool "three entries survive the torn tail" true
+        (Journal.entries j = List.map entry [ 1; 2; 3 ]);
+      Journal.append j (entry 4);
+      Journal.close j;
+      check_bool "a fourth append round-trips" true
+        (Journal.load path = List.map entry [ 1; 2; 3; 4 ]))
+
 (* ---------------------------------------------------------------- *)
 (* A deterministic fleet: migrations + checkpoints + one promotion   *)
 (* ---------------------------------------------------------------- *)
@@ -538,6 +571,7 @@ let suite =
     tc "journal: every malformed record is a typed error" test_journal_malformed_records;
     tc "journal: truncated tail and bad version are typed errors"
       test_journal_truncated_tail;
+    tc "journal: reopen drops and counts a torn tail" test_journal_torn_tail_reopens;
     tc_slow "fleet: five canned reports byte-identical across runs"
       test_fleet_reports_byte_identical;
     tc_slow "fleet: reports see the seeded activity" test_fleet_reports_have_rows;
