@@ -221,7 +221,7 @@ let cmd_graph =
             exit 1
         | Hpm_machine.Interp.RFuel -> assert false
         | Hpm_machine.Interp.RPolled id ->
-            let g = Graph.snapshot p in
+            let g = Graph.snapshot m.Migration.ti p in
             let g = if reachable then Graph.reachable_from_roots p g else g in
             if dot then print_string (Graph.to_dot g)
             else (

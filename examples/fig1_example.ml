@@ -58,7 +58,7 @@ let () =
   Hpm_machine.Interp.request_migration_after p 4;
   match Hpm_machine.Interp.run p with
   | Hpm_machine.Interp.RPolled _ ->
-      let g = Graph.snapshot p in
+      let g = Graph.snapshot m.Migration.ti p in
       let g = Graph.user_only (Graph.reachable_from_roots p g) in
       if dot then print_string (Graph.to_dot g)
       else (

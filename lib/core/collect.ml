@@ -49,14 +49,15 @@ type target =
     globals in program order) and [root] names each root of it, before
     that root's [pointer] event.  Every pointer element fires [pointer];
     a [Fresh] target is then walked: [enter] with its newly assigned
-    mi_id, [prims] and [pointer] per {!Tplan} segment, and [leave] with
-    the ordinal the entering edge landed on. *)
+    mi_id, [prims] (with the run's base byte) and [pointer] per element
+    run of its {!Tplan} plan, and [leave] with the ordinal the entering
+    edge landed on. *)
 type handler = {
   group : string list -> unit;
   root : string -> Mem.block -> unit;
   pointer : target -> unit;
   enter : Mem.block -> int -> unit;
-  prims : Mem.block -> Batch.plan -> unit;
+  prims : Mem.block -> int -> Batch.plan -> unit;
   leave : Mem.block -> int -> unit;
 }
 
@@ -64,7 +65,7 @@ type handler = {
 type t = {
   interp : Interp.t;
   col : Msrlt.collect_side;
-  plans : Tplan.cache;
+  plans : Tplan.table;
   stats : Cstats.collect;  (** every field but [c_stream_bytes] *)
   poll_id : int;  (** poll-point the top frame is suspended at *)
 }
@@ -86,14 +87,15 @@ let suspended_poll_id (interp : Interp.t) : int =
 (** Start collecting [interp], which must be suspended at a poll-point
     (i.e. {!Interp.run} just returned [RPolled]).  [since] is the
     {!Mem.write_mark} of the previous epoch, for dirty-block counts
-    ([-1]: none, every block is dirty).
+    ([-1]: none, every block is dirty).  Plans come from [ti]'s table for
+    the process's layout.
     @raise Error unless suspended at a poll-point *)
-let start ~since (interp : Interp.t) : t =
+let start ~since (interp : Interp.t) (ti : Ti.t) : t =
   let poll_id = suspended_poll_id interp in
   {
     interp;
     col = Msrlt.collector ~since interp.Interp.mem;
-    plans = Tplan.cache interp.Interp.mem.Mem.layout;
+    plans = Tplan.table ti interp.Interp.mem.Mem.layout;
     stats = Cstats.collect_zero ();
     poll_id;
   }
@@ -173,12 +175,8 @@ and save_block w h (block : Mem.block) ord : unit =
   w.stats.Cstats.c_data_bytes <- w.stats.Cstats.c_data_bytes + block.Mem.size;
   h.enter block id;
   let mem = w.interp.Interp.mem in
-  Array.iter
-    (fun seg ->
-      match seg with
-      | Tplan.Prims p -> h.prims block p
-      | Tplan.Ptr { off; kind; _ } -> save_ptr w h (Mem.load_scalar mem block off kind))
-    (Tplan.plan w.plans block.Mem.ty).Tplan.segs;
+  Tplan.iter (Tplan.plan w.plans block.Mem.ty) ~prims:(h.prims block)
+    ~ptr:(fun _ off kind -> save_ptr w h (Mem.load_scalar mem block off kind));
   h.leave block ord
 
 (** The paper's Save_variable, for live locals and globals alike: no
@@ -253,7 +251,7 @@ let walk w h : unit =
     visited target is emitted as an (mi_id, ordinal) reference, a fresh
     one inline as its definition followed by the ordinal. *)
 let collect ?(epoch = 0) (interp : Interp.t) (ti : Ti.t) : string * Cstats.collect =
-  let w = start ~since:(-1) interp in
+  let w = start ~since:(-1) interp ti in
   let buf = Buffer.create 4096 in
   Stream.put_header ~epoch buf
     ~src_arch:interp.Interp.arch.Hpm_arch.Arch.name
@@ -290,7 +288,7 @@ let collect ?(epoch = 0) (interp : Interp.t) (ti : Ti.t) : string * Cstats.colle
           let tid, count = Ti.encode_block_ty ti block.Mem.ty in
           Xdr.put_int_as_i32 buf tid;
           Xdr.put_int_as_i32 buf count);
-      prims = (fun block p -> Batch.encode p buf block.Mem.bytes);
+      prims = (fun block at p -> Batch.encode ~at p buf block.Mem.bytes);
       leave = (fun _ ord -> Xdr.put_int_as_i32 buf ord);
     };
   Stream.put_trailer buf;

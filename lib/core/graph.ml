@@ -44,29 +44,27 @@ let vertex_of_block (b : Mem.block) =
     interior address gets ordinal -1 (collection would fault on both;
     the graph view is used for inspection and is deliberately
     tolerant). *)
-let snapshot (interp : Interp.t) : t =
+let snapshot (ti : Hpm_msr.Ti.t) (interp : Interp.t) : t =
   let mem = interp.Interp.mem in
-  let plans = Tplan.cache mem.Mem.layout and find = Mem.find_block mem in
+  let plans = Tplan.table ti mem.Mem.layout and find = Mem.find_block mem in
   let blocks = Mem.live_blocks mem in
   let edges = ref [] in
   List.iter
     (fun (b : Mem.block) ->
-      Array.iter
-        (function
-          | Tplan.Ptr { ord; off; kind = Ty.KPtr _ as kind } -> (
-              let edge (dst : Mem.block) e_dst_ord =
-                edges :=
-                  { e_src = b.Mem.bid; e_src_ord = ord; e_dst = dst.Mem.bid; e_dst_ord } :: !edges
-              in
+      Tplan.iter (Tplan.plan plans b.Mem.ty) ~prims:(fun _ _ -> ()) ~ptr:(fun ord off kind ->
+          let edge (dst : Mem.block) e_dst_ord =
+            edges := { e_src = b.Mem.bid; e_src_ord = ord; e_dst = dst.Mem.bid; e_dst_ord } :: !edges
+          in
+          match kind with
+          | Ty.KFunc _ -> ()
+          | _ -> (
               match Mem.load_scalar mem b off kind with
               | Mem.Vptr addr -> (
                   match Collect.resolve plans ~find interp.Interp.prog addr with
                   | Collect.Rblock (dst, dord) -> edge dst dord
                   | Collect.Rmisaligned (dst, _) -> edge dst (-1)
                   | Collect.Rnull | Collect.Rfunc _ | Collect.Rwild _ -> ())
-              | _ -> ())
-          | _ -> ())
-        (Tplan.plan plans b.Mem.ty).Tplan.segs)
+              | _ -> ())))
     blocks;
   { vertices = List.map vertex_of_block blocks; edges = List.rev !edges }
 

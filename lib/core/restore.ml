@@ -31,7 +31,7 @@ type ctx = {
   res : Msrlt.restore_side;
   r : Xdr.rbuf;
   stats : Cstats.restore;
-  plans : Tplan.cache;
+  plans : Tplan.table;
 }
 
 (* (mi_id, ordinal) → destination address. *)
@@ -133,19 +133,15 @@ and restore_block ctx : Mem.block =
   Msrlt.bind ctx.res mi_id block;
   ctx.stats.Cstats.r_blocks <- ctx.stats.Cstats.r_blocks + 1;
   ctx.stats.Cstats.r_data_bytes <- ctx.stats.Cstats.r_data_bytes + block.Mem.size;
-  let plan = Tplan.plan ctx.plans block.Mem.ty in
   let mem = ctx.interp.Interp.mem in
-  Array.iter
-    (fun seg ->
-      match seg with
-      | Tplan.Prims p ->
-          (* one write-generation tick per run instead of per scalar *)
-          Mem.touch mem block;
-          Batch.decode p ctx.r block.Mem.bytes
-      | Tplan.Ptr { off; kind; _ } ->
-          let v = restore_ptr ctx in
-          Mem.store_scalar mem block off kind v)
-    plan.Tplan.segs;
+  Tplan.iter (Tplan.plan ctx.plans block.Mem.ty)
+    ~prims:(fun at p ->
+      (* one write-generation tick per run instead of per scalar *)
+      Mem.touch mem block;
+      Batch.decode ~at p ctx.r block.Mem.bytes)
+    ~ptr:(fun _ off kind ->
+      let v = restore_ptr ctx in
+      Mem.store_scalar mem block off kind v);
   block
 
 (** [restore_variable ctx block] decodes a named variable's datum and
@@ -188,7 +184,7 @@ let restore ?expect_epoch (prog : Ir.prog) (arch : Hpm_arch.Arch.t) (ti : Ti.t)
       res = Msrlt.restorer ();
       r;
       stats = Cstats.restore_zero ();
-      plans = Tplan.cache interp.Interp.mem.Mem.layout;
+      plans = Tplan.table ti interp.Interp.mem.Mem.layout;
     }
   in
   (* frame metadata, top-down in the stream; build bottom-up *)

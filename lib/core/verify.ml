@@ -69,7 +69,7 @@ let check_ti (ti : Ti.t) (b : Mem.block) =
     @raise Violation on the first broken invariant. *)
 let check (interp : Interp.t) (ti : Ti.t) : report =
   let mem = interp.Interp.mem in
-  let plans = Tplan.cache mem.Mem.layout and find = Mem.find_block mem in
+  let plans = Tplan.table ti mem.Mem.layout and find = Mem.find_block mem in
   let blocks = Mem.live_blocks mem in
   let pointers = ref 0 and edges = ref 0 and graph = ref [] in
   let check_ptr (b : Mem.block) ord off kind =
@@ -99,9 +99,7 @@ let check (interp : Interp.t) (ti : Ti.t) : report =
   List.iter
     (fun (b : Mem.block) ->
       check_ti ti b;
-      Array.iter
-        (function Tplan.Ptr { ord; off; kind } -> check_ptr b ord off kind | Tplan.Prims _ -> ())
-        (Tplan.plan plans b.Mem.ty).Tplan.segs)
+      Tplan.iter (Tplan.plan plans b.Mem.ty) ~prims:(fun _ _ -> ()) ~ptr:(check_ptr b))
     blocks;
   (* orphan check: every heap block must be reachable from the roots *)
   let reach = Graph.reachable interp !graph in

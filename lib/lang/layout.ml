@@ -90,76 +90,103 @@ let field_ty l sname fname =
   | None ->
       invalid_arg (Printf.sprintf "Layout.field_ty: struct %s has no field %s" sname fname)
 
-(** An element table for a block type: for each scalar ordinal, its byte
-    offset and scalar kind under this layout.  Built once per (arch, type)
-    and cached by the TI table; lookups during collection/restoration are
-    then O(1) for ordinal→byte and O(log n) for byte→ordinal. *)
-type elems = {
-  ty : Ty.t;
-  byte_of_ord : int array;             (** ordinal → byte offset *)
-  kind_of_ord : Ty.scalar_kind array;  (** ordinal → scalar kind *)
-  (* sorted by byte offset; parallel to byte_of_ord via sorting permutation *)
-  sorted_bytes : int array;
-  sorted_ords : int array;
-}
+(** The element table of a block type: its scalar elements, in ordinal
+    order, as a tree that mirrors the type's structure.  A scalar is one
+    element; an array repeats one item's table at a fixed stride; a
+    struct places each field's table at its byte offset and ordinal base.
+    The table's size is the size of the type's structure, not its element
+    count, and every lookup below descends it by division (arrays) and
+    field search (structs) in O(depth). *)
+type elems = { n : int;  (** scalar elements *) size : int;  (** bytes *) node : node }
+
+and node =
+  | Scalar of Ty.scalar_kind
+  | Arr of { count : int; stride : int; per : int;  (** elements per item *) item : elems }
+  | Rec of {
+      offs : int array;  (** each field's byte offset *)
+      bases : int array;  (** each field's first ordinal *)
+      fields : elems array;
+    }
+
+(** [repeat e count] is the element table of [count] consecutive items
+    of [e]'s type, without rebuilding [e]. *)
+let repeat e count =
+  { n = count * e.n; size = count * e.size; node = Arr { count; stride = e.size; per = e.n; item = e } }
 
 let elems l (t : Ty.t) =
-  let bytes = ref [] and kinds = ref [] in
-  let rec go base (t : Ty.t) =
+  let rec go (t : Ty.t) =
     match Ty.scalar_kind_of_ty t with
-    | Some k ->
-        bytes := base :: !bytes;
-        kinds := k :: !kinds
+    | Some k -> { n = 1; size = scalar_size l k; node = Scalar k }
     | None -> (
         match t with
-        | Ty.Array (e, n) ->
-            let esz = sizeof l e in
-            for i = 0 to n - 1 do
-              go (base + (i * esz)) e
-            done
+        | Ty.Array (e, count) -> repeat (go e) count
         | Ty.Struct name ->
-            let _, _, offs = struct_layout l name in
+            let size, _, offs = struct_layout l name in
             let def = Ty.find_struct_exn l.tenv name in
-            List.iter2
-              (fun (f : Ty.field) (_, fo) -> go (base + fo) f.Ty.fld_ty)
-              def.Ty.s_fields offs
+            let fields = Array.of_list (List.map (fun (f : Ty.field) -> go f.Ty.fld_ty) def.Ty.s_fields) in
+            let bases = Array.make (Array.length fields) 0 in
+            let n = ref 0 in
+            Array.iteri
+              (fun j f ->
+                bases.(j) <- !n;
+                n := !n + f.n)
+              fields;
+            { n = !n; size; node = Rec { offs = Array.of_list (List.map snd offs); bases; fields } }
         | _ -> invalid_arg (Printf.sprintf "Layout.elems: %s" (Ty.to_string t)))
   in
-  go 0 t;
-  let byte_of_ord = Array.of_list (List.rev !bytes) in
-  let kind_of_ord = Array.of_list (List.rev !kinds) in
-  let n = Array.length byte_of_ord in
-  let perm = Array.init n Fun.id in
-  Array.sort (fun i j -> compare byte_of_ord.(i) byte_of_ord.(j)) perm;
-  let sorted_bytes = Array.map (fun i -> byte_of_ord.(i)) perm in
-  { ty = t; byte_of_ord; kind_of_ord; sorted_bytes; sorted_ords = perm }
+  go t
 
-let elem_count e = Array.length e.byte_of_ord
+let elem_count e = e.n
+
+(* The field of a struct holding ordinal [ord]: the first one whose
+   ordinal range reaches past it. *)
+let field_of_ord bases (fields : elems array) ord =
+  let j = ref 0 in
+  while ord >= bases.(!j) + fields.(!j).n do incr j done;
+  !j
+
+(* Descend [s] to the scalar at ordinal [ord] (in range), calling [k]
+   with its byte offset and kind. *)
+let rec find_ord s ord byte k =
+  match s.node with
+  | Scalar kind -> k byte kind
+  | Arr { stride; per; item; _ } ->
+      let i = ord / per in
+      find_ord item (ord - (i * per)) (byte + (i * stride)) k
+  | Rec { offs; bases; fields } ->
+      let j = field_of_ord bases fields ord in
+      find_ord fields.(j) (ord - bases.(j)) (byte + offs.(j)) k
 
 let byte_of_ordinal e ord =
-  if ord < 0 || ord >= Array.length e.byte_of_ord then
+  if ord < 0 || ord >= e.n then
     invalid_arg (Printf.sprintf "Layout.byte_of_ordinal: ordinal %d out of range" ord);
-  e.byte_of_ord.(ord)
+  find_ord e ord 0 (fun byte _ -> byte)
 
 let kind_of_ordinal e ord =
-  if ord < 0 || ord >= Array.length e.kind_of_ord then
+  if ord < 0 || ord >= e.n then
     invalid_arg (Printf.sprintf "Layout.kind_of_ordinal: ordinal %d out of range" ord);
-  e.kind_of_ord.(ord)
+  find_ord e ord 0 (fun _ kind -> kind)
 
 (** [ordinal_of_byte e off] is the ordinal of the scalar element starting
     exactly at byte [off]; [None] when [off] lands in padding or mid-element.
     A pointer whose value is such an address is malformed (or points past a
     narrowing cast) and collection reports it instead of guessing. *)
 let ordinal_of_byte e off =
-  let lo = ref 0 and hi = ref (Array.length e.sorted_bytes - 1) in
-  let found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let b = e.sorted_bytes.(mid) in
-    if b = off then (
-      found := Some e.sorted_ords.(mid);
-      lo := !hi + 1)
-    else if b < off then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
+  let rec go s off =
+    if off < 0 || off >= s.size then None
+    else
+      match s.node with
+      | Scalar _ -> if off = 0 then Some 0 else None
+      | Arr { stride; per; item; _ } -> (
+          let i = off / stride in
+          Option.map (fun o -> (i * per) + o) (go item (off - (i * stride))))
+      | Rec { offs; bases; fields } ->
+          let rec field j =
+            if j = Array.length fields then None
+            else if off >= offs.(j) && off < offs.(j) + fields.(j).size then
+              Option.map (fun o -> bases.(j) + o) (go fields.(j) (off - offs.(j)))
+            else field (j + 1)
+          in
+          field 0
+  in
+  go e off

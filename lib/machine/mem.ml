@@ -263,9 +263,6 @@ let find_block t (addr : int64) : block =
           b
       | _ -> fault "wild pointer 0x%Lx: no block contains this address" addr)
 
-let find_block_opt t addr =
-  match find_block t addr with b -> Some b | exception Fault _ -> None
-
 (** All live blocks, in allocation (bid) order. *)
 let live_blocks t =
   let acc = ref [] in

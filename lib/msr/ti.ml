@@ -9,10 +9,12 @@
     name types across the wire by index.
 
     Each entry carries the type and its flattened scalar-element view.
-    The paper's per-type "memory block saving and restoring functions"
-    correspond to the per-(arch, type) translation plans
-    ([Hpm_core.Tplan]) that every block walk compiles from the layout's
-    element table of a block type and memoizes for the walk. *)
+    Entries are found by the structural [Ty.t], one hash lookup and no
+    string per block.  The paper's per-type "memory block saving and
+    restoring functions" correspond to the translation plans
+    [Hpm_core.Tplan] builds lazily, at most once per (arch, type id), and
+    attaches to this table ({!attached}), so they live exactly as long as
+    the prepared program. *)
 
 open Hpm_lang
 open Hpm_ir
@@ -25,15 +27,19 @@ type entry = {
   has_pointer : bool;              (** needs the traversing save path *)
 }
 
+(** Derived per-arch tables that later layers attach to a TI table. *)
+type attached = ..
+
 type t = {
   tenv : Ty.tenv;
   entries : entry array;
-  by_key : (string, entry) Hashtbl.t;
+  by_ty : (Ty.t, entry) Hashtbl.t;
+  mutable attached : (Hpm_arch.Arch.t * attached) list;
 }
 
 let entry_count t = Array.length t.entries
 
-let find t (ty : Ty.t) : entry option = Hashtbl.find_opt t.by_key (Ty.to_string ty)
+let find t (ty : Ty.t) : entry option = Hashtbl.find_opt t.by_ty ty
 
 let find_exn t ty =
   match find t ty with
@@ -55,9 +61,8 @@ let collect_types (prog : Ir.prog) : Ty.t list =
     match ty with
     | Ty.Void | Ty.Func _ -> ()
     | _ ->
-        let key = Ty.to_string ty in
-        if not (Hashtbl.mem seen key) then (
-          Hashtbl.add seen key ();
+        if not (Hashtbl.mem seen ty) then (
+          Hashtbl.add seen ty ();
           out := ty :: !out;
           (* reachable component types *)
           match ty with
@@ -105,16 +110,17 @@ let build (prog : Ir.prog) : t =
            })
          tys)
   in
-  let by_key = Hashtbl.create (Array.length entries) in
-  Array.iter (fun e -> Hashtbl.replace by_key e.key e) entries;
-  { tenv = prog.Ir.tenv; entries; by_key }
+  let by_ty = Hashtbl.create (Array.length entries) in
+  Array.iter (fun e -> Hashtbl.replace by_ty e.ty e) entries;
+  { tenv = prog.Ir.tenv; entries; by_ty; attached = [] }
 
 (** Wire encoding of a block type: (tid, count).  Fixed-size arrays whose
     element type is in the table are sent as (element tid, length) so heap
     blocks of runtime-dependent length need no table entry of their own. *)
 let encode_block_ty t (ty : Ty.t) : int * int =
   match ty with
-  | Ty.Array (elem, n) when find t elem <> None -> ((find_exn t elem).tid, n)
+  | Ty.Array (elem, n) -> (
+      match find t elem with Some e -> (e.tid, n) | None -> ((find_exn t ty).tid, 1))
   | _ -> ((find_exn t ty).tid, 1)
 
 let decode_block_ty t (tid, count) : Ty.t =

@@ -1,10 +1,10 @@
 (** The Type Information (TI) table: one entry per type that can describe
     a memory block or scalar element, numbered deterministically from the
     program text so both endpoints of a migration agree on type ids.
-    Carries each type's flattened element view.  The per-(arch, type)
-    translation plans that every block walk compiles ([Hpm_core.Tplan])
-    are the moral equivalent of the paper's generated per-type
-    saving/restoring functions. *)
+    Carries each type's flattened element view, found by the structural
+    type.  The per-(arch, type) translation plans ([Hpm_core.Tplan]),
+    built lazily and attached to this table, are the moral equivalent of
+    the paper's generated per-type saving/restoring functions. *)
 
 open Hpm_lang
 
@@ -16,10 +16,16 @@ type entry = {
   has_pointer : bool;               (** needs the traversing save path *)
 }
 
+(** Derived per-arch tables that later layers attach to a TI table
+    ([Hpm_core.Tplan] keeps its plan table here), so they live exactly
+    as long as the table. *)
+type attached = ..
+
 type t = {
   tenv : Ty.tenv;
   entries : entry array;
-  by_key : (string, entry) Hashtbl.t;
+  by_ty : (Ty.t, entry) Hashtbl.t;  (** structural: no string per lookup *)
+  mutable attached : (Hpm_arch.Arch.t * attached) list;
 }
 
 (** Build the table for a lowered program: scalars first (stable primitive

@@ -82,7 +82,7 @@ let datum_of (t : Collect.target) : Store.datum =
     dangling, wild or misaligned pointer *)
 let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t) :
     Store.manifest * (string, string) Hashtbl.t * Cstats.delta =
-  let w = Collect.start ~since:(match cache with Some c -> c.mark | None -> -1) interp in
+  let w = Collect.start ~since:(match cache with Some c -> c.mark | None -> -1) interp ti in
   let chunks = Hashtbl.create 64 (* hash → freshly-built payload *) in
   let binfos = Hashtbl.create 64 (* mi_id → entry, filled post-order *) in
   let stats = Cstats.delta_zero () in
@@ -112,23 +112,20 @@ let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t)
           let b = scratch in
           Buffer.clear b;
           let rest = ref datums in
-          Array.iter
-            (fun seg ->
-              match seg with
-              | Tplan.Prims p -> Batch.encode p b block.Mem.bytes
-              | Tplan.Ptr _ -> (
-                  let d = List.hd !rest in
-                  rest := List.tl !rest;
-                  match d with
-                  | Store.Dnull -> Xdr.put_u8 b Stream.tag_null
-                  | Store.Dref (bid, tord) ->
-                      Xdr.put_u8 b Stream.tag_ref;
-                      Xdr.put_int_as_i32 b bid;
-                      Xdr.put_int_as_i32 b tord
-                  | Store.Dfunc i ->
-                      Xdr.put_u8 b Stream.tag_func;
-                      Xdr.put_int_as_i32 b i))
-            (Tplan.plan w.Collect.plans block.Mem.ty).Tplan.segs;
+          Tplan.iter (Tplan.plan w.Collect.plans block.Mem.ty)
+            ~prims:(fun at p -> Batch.encode ~at p b block.Mem.bytes)
+            ~ptr:(fun _ _ _ ->
+              let d = List.hd !rest in
+              rest := List.tl !rest;
+              match d with
+              | Store.Dnull -> Xdr.put_u8 b Stream.tag_null
+              | Store.Dref (bid, tord) ->
+                  Xdr.put_u8 b Stream.tag_ref;
+                  Xdr.put_int_as_i32 b bid;
+                  Xdr.put_int_as_i32 b tord
+              | Store.Dfunc i ->
+                  Xdr.put_u8 b Stream.tag_func;
+                  Xdr.put_int_as_i32 b i);
           let payload = Buffer.contents b in
           let hash = Digest.string payload in
           Hashtbl.replace chunks hash payload;
@@ -166,7 +163,7 @@ let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t)
           (* outside any block it is a root's, recorded by [root] *)
           match !opened with [] -> () | ob :: _ -> ob.ob_datums <- datum_of t :: ob.ob_datums);
       enter = (fun _ id -> opened := { ob_id = id; ob_datums = [] } :: !opened);
-      prims = (fun _ _ -> ());
+      prims = (fun _ _ _ -> ());
       leave;
     };
   (* root groups, newest first: the globals, then the frames bottom-up *)
@@ -212,7 +209,7 @@ let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t)
 let materialize ~(ti : Ti.t) ~(lookup : string -> string) (mf : Store.manifest) : string =
   (* Chunk payloads use canonical widths, so any layout yields the same
      element-kind sequence; use a fixed one rather than the source's. *)
-  let plans = Tplan.cache (Layout.make Hpm_arch.Arch.ultra5 ti.Ti.tenv) in
+  let plans = Tplan.table ti (Layout.make Hpm_arch.Arch.ultra5 ti.Ti.tenv) in
   let nblocks = Array.length mf.Store.mf_blocks in
   let emitted = Array.make nblocks false in
   let bid2mi = Hashtbl.create (max 16 nblocks) in
@@ -257,25 +254,23 @@ let materialize ~(ti : Ti.t) ~(lookup : string -> string) (mf : Store.manifest) 
     in
     let r = Xdr.reader_of_string payload in
     (try
-       Array.iter
-         (function
-           | Tplan.Prims p ->
-               let w = Batch.wire_bytes p in
-               if Xdr.remaining r < w then Store.corrupt "chunk of block %d is short" id;
-               Buffer.add_subbytes buf r.Xdr.data r.Xdr.pos w;
-               Xdr.skip r w
-           | Tplan.Ptr _ -> (
-               match Xdr.get_u8 r with
-               | t when t = Stream.tag_null -> Xdr.put_u8 buf Stream.tag_null
-               | t when t = Stream.tag_func ->
-                   Xdr.put_u8 buf Stream.tag_func;
-                   Xdr.put_int_as_i32 buf (Xdr.get_int_of_i32 r)
-               | t when t = Stream.tag_ref ->
-                   let tbid = Xdr.get_int_of_i32 r in
-                   let tord = Xdr.get_int_of_i32 r in
-                   emit_datum (Store.Dref (tbid, tord))
-               | t -> Store.corrupt "chunk of block %d has bad datum tag %d" id t))
-         (Tplan.plan plans ty).Tplan.segs
+       Tplan.iter (Tplan.plan plans ty)
+         ~prims:(fun _ p ->
+           let w = Batch.wire_bytes p in
+           if Xdr.remaining r < w then Store.corrupt "chunk of block %d is short" id;
+           Buffer.add_subbytes buf r.Xdr.data r.Xdr.pos w;
+           Xdr.skip r w)
+         ~ptr:(fun _ _ _ ->
+           match Xdr.get_u8 r with
+           | t when t = Stream.tag_null -> Xdr.put_u8 buf Stream.tag_null
+           | t when t = Stream.tag_func ->
+               Xdr.put_u8 buf Stream.tag_func;
+               Xdr.put_int_as_i32 buf (Xdr.get_int_of_i32 r)
+           | t when t = Stream.tag_ref ->
+               let tbid = Xdr.get_int_of_i32 r in
+               let tord = Xdr.get_int_of_i32 r in
+               emit_datum (Store.Dref (tbid, tord))
+           | t -> Store.corrupt "chunk of block %d has bad datum tag %d" id t)
      with Xdr.Underflow m -> Store.corrupt "chunk of block %d is truncated: %s" id m);
     if not (Xdr.at_end r) then
       Store.corrupt "chunk of block %d has %d trailing bytes" id (Xdr.remaining r)

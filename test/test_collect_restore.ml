@@ -373,6 +373,55 @@ let test_counters_match_both_sides () =
   (* searches happen only on the collect side, at most one per pointer *)
   check_bool "searches <= pointers" true (cs.Cstats.c_searches <= cs.Cstats.c_pointers)
 
+(* Plans are kept per TI type, not per block type: heap arrays of 200
+   distinct lengths (pointer-free and pointer-bearing) leave every arch's
+   plan table no larger than the TI table, after collection, snapshot
+   collection, restoration, verification and the MSR graph. *)
+let test_plan_table_bounded_by_ti () =
+  let m =
+    prepare_user
+      {|
+struct cell { int v; struct cell *next; };
+int *ps[200];
+struct cell *cs[200];
+int main() {
+  int i;
+  int j;
+  for (i = 0; i < 200; i++) {
+    ps[i] = (int *) malloc((i + 1) * sizeof(int));
+    for (j = 0; j <= i; j++) ps[i][j] = i + j;
+    cs[i] = (struct cell *) malloc((i + 1) * sizeof(struct cell));
+    cs[i][i].v = i;
+    cs[i][i].next = cs[i];
+  }
+  #pragma poll here
+  print_int(ps[199][150]);
+  print_int(cs[120][120].next[120].v);
+  return 0;
+}
+|}
+  in
+  let ti = m.Migration.ti in
+  let plain, _, _ = Migration.run_plain m Hpm_arch.Arch.dec5000 in
+  List.iter
+    (fun (src_arch, dst_arch) ->
+      let p, _ = suspend m src_arch 0 in
+      let data, _ = Collect.collect p ti in
+      ignore (Hpm_store.Snapshot.collect p ti);
+      ignore (Graph.snapshot ti p);
+      let dst, _ = Restore.restore m.Migration.prog dst_arch ti data in
+      ignore (Verify.check dst ti : Verify.report);
+      check_string "output" plain (finish_output (Hpm_machine.Interp.output p) dst))
+    [ (Hpm_arch.Arch.dec5000, Hpm_arch.Arch.x86_64); (Hpm_arch.Arch.x86_64, Hpm_arch.Arch.sparc20) ];
+  List.iter
+    (fun arch ->
+      let t = Tplan.table ti (Hpm_lang.Layout.make arch ti.Hpm_msr.Ti.tenv) in
+      let size = Array.fold_left (fun n p -> if p = None then n else n + 1) 0 t.Tplan.by_tid in
+      if size > Hpm_msr.Ti.entry_count ti then
+        Alcotest.failf "%s: %d plans for %d TI entries" arch.Hpm_arch.Arch.name size
+          (Hpm_msr.Ti.entry_count ti))
+    [ Hpm_arch.Arch.dec5000; Hpm_arch.Arch.x86_64; Hpm_arch.Arch.sparc20 ]
+
 let suite =
   [
     tc "one-past-the-end pointer" test_one_past_end;
@@ -390,4 +439,5 @@ let suite =
     tc "every scalar kind migrates" test_every_scalar_kind;
     tc "short arrays" test_short_arrays;
     tc "collect/restore counters agree" test_counters_match_both_sides;
+    tc "plan table bounded by the TI table" test_plan_table_bounded_by_ti;
   ]

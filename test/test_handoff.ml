@@ -255,10 +255,10 @@ let find_ptr_slot ?(want_heap = false) (p : Interp.t) =
                 | Mem.Vptr a
                   when (not (Int64.equal a 0L))
                        && not (Interp.is_func_addr p.Interp.prog a) -> (
-                    match Mem.find_block_opt mem a with
-                    | Some dst when (not want_heap) || dst.Mem.seg = Mem.Heap ->
-                        Some (b, off, k, dst)
-                    | _ -> None)
+                    match Mem.find_block mem a with
+                    | dst when (not want_heap) || dst.Mem.seg = Mem.Heap -> Some (b, off, k, dst)
+                    | _ -> None
+                    | exception Mem.Fault _ -> None)
                 | _ -> None)
             | _ -> None)
           (List.init (Layout.elem_count elems) Fun.id))

@@ -21,7 +21,21 @@ let padded_def =
       [ { Ty.fld_name = "c"; fld_ty = Ty.Char }; { Ty.fld_name = "d"; fld_ty = Ty.Double }; { Ty.fld_name = "i"; fld_ty = Ty.Int } ];
   }
 
-let tenv = Ty.add_struct (Ty.add_struct Ty.empty_tenv node_def) padded_def
+(* padded structs nested in a struct and in an array inside it *)
+let nest_def =
+  {
+    Ty.s_name = "nest";
+    s_fields =
+      [
+        { Ty.fld_name = "c"; fld_ty = Ty.Char };
+        { Ty.fld_name = "p"; fld_ty = Ty.Array (Ty.Struct "padded", 2) };
+        { Ty.fld_name = "s"; fld_ty = Ty.Short };
+        { Ty.fld_name = "n"; fld_ty = Ty.Struct "node" };
+        { Ty.fld_name = "q"; fld_ty = Ty.Struct "padded" };
+      ];
+  }
+
+let tenv = Ty.add_struct (Ty.add_struct (Ty.add_struct Ty.empty_tenv node_def) padded_def) nest_def
 
 let layout arch = Layout.make arch tenv
 
@@ -131,6 +145,75 @@ let prop_flatten_agrees =
       List.length kinds = Layout.elem_count e
       && List.for_all2 ( = ) kinds (List.init (Layout.elem_count e) (Layout.kind_of_ordinal e)))
 
+(* The reference element table: the flat per-element algorithm the
+   structural table replaced.  Every scalar's byte offset and kind in
+   ordinal order, and for each byte offset the ordinal starting there. *)
+let flat_elems l (t : Ty.t) =
+  let out = ref [] in
+  let rec go base (t : Ty.t) =
+    match Ty.scalar_kind_of_ty t with
+    | Some k -> out := (base, k) :: !out
+    | None -> (
+        match t with
+        | Ty.Array (e, n) ->
+            let esz = Layout.sizeof l e in
+            for i = 0 to n - 1 do
+              go (base + (i * esz)) e
+            done
+        | Ty.Struct name ->
+            let _, _, offs = Layout.struct_layout l name in
+            let def = Ty.find_struct_exn l.Layout.tenv name in
+            List.iter2 (fun (f : Ty.field) (_, fo) -> go (base + fo) f.Ty.fld_ty) def.Ty.s_fields offs
+        | _ -> assert false)
+  in
+  go 0 t;
+  let elems = Array.of_list (List.rev !out) in
+  let at_byte = Hashtbl.create (Array.length elems) in
+  Array.iteri (fun ord (b, _) -> Hashtbl.replace at_byte b ord) elems;
+  (elems, at_byte)
+
+(* random types up to ~[budget] scalars: arrays up to 100 long, nested
+   padded structs *)
+let rec gen_oracle_ty depth budget =
+  let open QCheck.Gen in
+  let scalar = oneofl [ Ty.Char; Ty.Short; Ty.Int; Ty.Long; Ty.Float; Ty.Double; Ty.Ptr Ty.Int ] in
+  if depth = 0 then scalar
+  else
+    frequency
+      [
+        (2, scalar);
+        ( 3,
+          int_range 1 (max 1 (min 100 budget)) >>= fun n ->
+          map (fun t -> Ty.Array (t, n)) (gen_oracle_ty (depth - 1) (budget / n)) );
+        (1, oneofl [ Ty.Struct "padded"; Ty.Struct "node"; Ty.Struct "nest" ]);
+      ]
+
+let prop_elems_match_flat_reference =
+  qt ~count:100 "structural element table matches the flat reference at every byte"
+    (QCheck.make ~print:Ty.to_string (gen_oracle_ty 3 1000))
+    (fun ty ->
+      List.for_all
+        (fun arch ->
+          let l = layout arch in
+          let e = Layout.elems l ty in
+          let flat, at_byte = flat_elems l ty in
+          let n = Array.length flat in
+          let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+          Layout.elem_count e = n
+          && raises (fun () -> Layout.byte_of_ordinal e n)
+          && raises (fun () -> Layout.kind_of_ordinal e (-1))
+          && (let ok = ref true in
+              Array.iteri
+                (fun ord (b, k) ->
+                  if Layout.byte_of_ordinal e ord <> b || Layout.kind_of_ordinal e ord <> k then
+                    ok := false)
+                flat;
+              for off = -1 to Layout.sizeof l ty do
+                if Layout.ordinal_of_byte e off <> Hashtbl.find_opt at_byte off then ok := false
+              done;
+              !ok))
+        arches)
+
 let prop_size_positive =
   qt ~count:200 "sizeof positive and divisible by alignof"
     (QCheck.make (gen_ty 3))
@@ -154,4 +237,5 @@ let suite =
     prop_ordinal_bijection;
     prop_flatten_agrees;
     prop_size_positive;
+    prop_elems_match_flat_reference;
   ]

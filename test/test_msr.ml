@@ -164,7 +164,7 @@ int main() {
   in
   let m = prepare_user src in
   let p, _ = suspend m Hpm_arch.Arch.dec5000 4 in
-  let g = Graph.user_only (Graph.reachable_from_roots p (Graph.snapshot p)) in
+  let g = Graph.user_only (Graph.reachable_from_roots p (Graph.snapshot m.Migration.ti p)) in
   check_int "12 vertices as in Figure 1" 12 (Graph.vertex_count g);
   (* the paper draws 12 edges; the snapshot semantics gives 13 (it includes
      addr1->addr4 from "first->link = last" which the figure omits) *)
@@ -193,7 +193,7 @@ int main() {
   in
   let m = prepare_user src in
   let p, _ = suspend m Hpm_arch.Arch.ultra5 0 in
-  let g = Graph.user_only (Graph.snapshot p) in
+  let g = Graph.user_only (Graph.snapshot m.Migration.ti p) in
   let e =
     List.find
       (fun e -> e.Graph.e_dst_ord = 7)
@@ -217,14 +217,14 @@ int main() {
   in
   let m = prepare_user src in
   let p, _ = suspend m Hpm_arch.Arch.ultra5 0 in
-  let g = Graph.user_only (Graph.snapshot p) in
+  let g = Graph.user_only (Graph.snapshot m.Migration.ti p) in
   check_int "one edge" 1 (Graph.edge_count g);
   check_int "one-past-the-end ordinal" 10 (List.hd g.Graph.edges).Graph.e_dst_ord
 
 let test_graph_dot () =
   let m = prepare_user "int main() { int x; int *p; p = &x; #pragma poll h\n return 0; }" in
   let p, _ = suspend m Hpm_arch.Arch.ultra5 0 in
-  let dot = Graph.to_dot (Graph.snapshot p) in
+  let dot = Graph.to_dot (Graph.snapshot m.Migration.ti p) in
   check_bool "digraph" true (String.length dot > 20 && String.sub dot 0 7 = "digraph");
   check_bool "has edge arrow" true (contains_sub dot "->")
 

@@ -41,8 +41,9 @@ let tenv =
         ];
     }
 
-(* Prim-only types covering every scalar kind, arrays, and the mixed
-   struct (whose layout differs per arch: i386 packs doubles tighter). *)
+(* Types covering every scalar kind, arrays, nested arrays, and the mixed
+   struct (whose layout differs per arch: i386 packs doubles tighter);
+   the pointer elements of [linked] are skipped by both paths. *)
 let prim_tys =
   [
     Ty.Char;
@@ -58,6 +59,10 @@ let prim_tys =
     Ty.Array (Ty.Double, 5);
     Ty.Struct "mixed";
     Ty.Array (Ty.Struct "mixed", 3);
+    Ty.Array (Ty.Array (Ty.Double, 80), 80);
+    Ty.Array (Ty.Struct "mixed", 7);
+    Ty.Array (Ty.Struct "linked", 5);
+    Ty.Array (Ty.Long, 33);
   ]
 
 let all_pairs =
@@ -88,14 +93,19 @@ let encode_per_field (m : Mem.t) (block : Mem.block) : string =
   done;
   Buffer.contents buf
 
-let encode_batch (m : Mem.t) (block : Mem.block) : string =
-  let plan = Tplan.build m.Mem.layout (Layout.elems m.Mem.layout block.Mem.ty) in
+(* The plan of a block type, built whole or, as the plan table does for
+   an array, as its element's plan repeated over the length. *)
+let plan_of ?(repeat = false) (m : Mem.t) (ty : Ty.t) : Tplan.t =
+  let l = m.Mem.layout in
+  match ty with
+  | Ty.Array (e, n) when repeat -> Tplan.repeat (Tplan.build l (Layout.elems l e)) n
+  | _ -> Tplan.build l (Layout.elems l ty)
+
+let encode_batch ?repeat (m : Mem.t) (block : Mem.block) : string =
   let buf = Buffer.create 256 in
-  Array.iter
-    (function
-      | Tplan.Prims p -> Hpm_xdr.Batch.encode p buf block.Mem.bytes
-      | Tplan.Ptr _ -> ())
-    plan.Tplan.segs;
+  Tplan.iter (plan_of ?repeat m block.Mem.ty)
+    ~prims:(fun at p -> Hpm_xdr.Batch.encode ~at p buf block.Mem.bytes)
+    ~ptr:(fun _ _ _ -> ());
   Buffer.contents buf
 
 (* The pre-batch reference decode: per-field get_prim + store_scalar. *)
@@ -110,14 +120,11 @@ let decode_per_field (m : Mem.t) (block : Mem.block) (wire : string) : unit =
         Mem.store_scalar m block off k (Stream.get_prim r k)
   done
 
-let decode_batch (m : Mem.t) (block : Mem.block) (wire : string) : unit =
-  let plan = Tplan.build m.Mem.layout (Layout.elems m.Mem.layout block.Mem.ty) in
+let decode_batch ?repeat (m : Mem.t) (block : Mem.block) (wire : string) : unit =
   let r = Hpm_xdr.Xdr.reader_of_string wire in
-  Array.iter
-    (function
-      | Tplan.Prims p -> Hpm_xdr.Batch.decode p r block.Mem.bytes
-      | Tplan.Ptr _ -> ())
-    plan.Tplan.segs
+  Tplan.iter (plan_of ?repeat m block.Mem.ty)
+    ~prims:(fun at p -> Hpm_xdr.Batch.decode ~at p r block.Mem.bytes)
+    ~ptr:(fun _ _ _ -> ())
 
 (* One differential check: random-ish bytes on [src] arch, encode both
    ways, decode both ways on [dst] arch, compare everything. *)
@@ -126,18 +133,21 @@ let check_one (src : Arch.t) (dst : Arch.t) (ty : Ty.t) (seed : int) : unit =
   let b = Mem.alloc ms Mem.Heap ty Mem.Iheap in
   fill_bytes b.Mem.bytes seed;
   let wire_pf = encode_per_field ms b in
-  let wire_batch = encode_batch ms b in
-  if not (String.equal wire_pf wire_batch) then
-    Alcotest.failf "encode differs for %s on %s (seed %d)" (Ty.to_string ty)
-      src.Arch.name seed;
   let md = mem_for dst in
   let d1 = Mem.alloc md Mem.Heap ty Mem.Iheap in
-  let d2 = Mem.alloc md Mem.Heap ty Mem.Iheap in
   decode_per_field md d1 wire_pf;
-  decode_batch md d2 wire_pf;
-  if not (Bytes.equal d1.Mem.bytes d2.Mem.bytes) then
-    Alcotest.failf "decode differs for %s on %s->%s (seed %d)" (Ty.to_string ty)
-      src.Arch.name dst.Arch.name seed
+  List.iter
+    (fun repeat ->
+      let wire_batch = encode_batch ~repeat ms b in
+      if not (String.equal wire_pf wire_batch) then
+        Alcotest.failf "encode differs for %s on %s (seed %d, repeat %b)" (Ty.to_string ty)
+          src.Arch.name seed repeat;
+      let d2 = Mem.alloc md Mem.Heap ty Mem.Iheap in
+      decode_batch ~repeat md d2 wire_pf;
+      if not (Bytes.equal d1.Mem.bytes d2.Mem.bytes) then
+        Alcotest.failf "decode differs for %s on %s->%s (seed %d, repeat %b)" (Ty.to_string ty)
+          src.Arch.name dst.Arch.name seed repeat)
+    [ false; true ]
 
 let test_all_types_all_pairs () =
   List.iter
@@ -190,6 +200,24 @@ let test_truncated_underflow () =
     (function Hpm_xdr.Xdr.Underflow _ -> true | _ -> false)
     (fun () -> decode_batch md d short)
 
+(* Ops of a batch program and segments of a plan, counting each repeat
+   body once. *)
+let rec op_count ops =
+  Array.fold_left
+    (fun n op -> n + match op with Hpm_xdr.Batch.Rep r -> 1 + op_count r.body | _ -> 1)
+    0 ops
+
+let rec plan_size segs =
+  Array.fold_left
+    (fun (s, o) seg ->
+      match seg with
+      | Tplan.Prims b -> (s + 1, o + op_count b.Hpm_xdr.Batch.p_ops)
+      | Tplan.Ptr _ -> (s + 1, o)
+      | Tplan.Rep { body; _ } ->
+          let bs, bo = plan_size body in
+          (s + 1 + bs, o + bo))
+    (0, 0) segs
+
 (* plan shape: pointers split prim runs; a BE double array is one blit *)
 let test_plan_segmentation () =
   let layout_of arch = Layout.make arch tenv in
@@ -200,14 +228,47 @@ let test_plan_segmentation () =
   | segs -> Alcotest.failf "unexpected segmentation (%d segs)" (Array.length segs));
   check_int "prim fields around the pointer" 2 plan.Tplan.prim_fields;
   (* canonical bytes: double (8) + int (4) *)
-  check_int "wire bytes" 12 plan.Tplan.prim_wire_bytes
+  check_int "wire bytes" 12 plan.Tplan.prim_wire_bytes;
+  match (Tplan.build l (Layout.elems l (Ty.Array (Ty.Double, 1000)))).Tplan.segs with
+  | [| Tplan.Prims p |] -> check_int "BE double[1000] is one blit" 1 (op_count p.Hpm_xdr.Batch.p_ops)
+  | segs -> Alcotest.failf "double[1000]: %d segs" (Array.length segs)
+
+(* A plan's size follows the type's structure: the op and segment counts
+   of double[n] and struct linked[n] do not grow with n, on any arch,
+   whether the plan is built whole or repeated from its element. *)
+let test_plan_size_independent_of_length () =
+  let size (p : Tplan.t) = plan_size p.Tplan.segs in
+  List.iter
+    (fun arch ->
+      let l = Layout.make arch tenv in
+      List.iter
+        (fun elem ->
+          let sizes n =
+            let ty = Ty.Array (elem, n) in
+            [
+              size (Tplan.build l (Layout.elems l ty));
+              size (Tplan.repeat (Tplan.build l (Layout.elems l elem)) n);
+            ]
+          in
+          let s10, o10 = List.hd (sizes 10) in
+          List.iter
+            (fun n ->
+              List.iter
+                (fun (s, o) ->
+                  if s > s10 || o > o10 || (n > 10 && (s, o) <> (s10, o10)) then
+                    Alcotest.failf "%s[%d] on %s: %d segs / %d ops, %d segs / %d ops at n = 10"
+                      (Ty.to_string elem) n arch.Arch.name s o s10 o10)
+                (sizes n))
+            [ 1; 10; 6400 ])
+        [ Ty.Double; Ty.Struct "linked" ])
+    Arch.all
 
 (* QCheck: encode→decode on the same arch is the identity on block bytes
    up to f32 NaN quieting, which re-encodes identically — so compare the
    re-encoded wire, the canonical form *)
 let prop_roundtrip =
   qt ~count:200 "batch encode→decode→encode is stable"
-    QCheck.(triple (int_range 0 4) (int_range 0 12) small_nat)
+    QCheck.(triple (int_range 0 4) (int_range 0 (List.length prim_tys - 1)) small_nat)
     (fun (arch_i, ty_i, seed) ->
       let arch = List.nth Arch.all arch_i in
       let ty = List.nth prim_tys ty_i in
@@ -227,5 +288,6 @@ let suite =
     tc "io accounting identical" test_io_accounting;
     tc "truncated input underflows" test_truncated_underflow;
     tc "plan segmentation around pointers" test_plan_segmentation;
+    tc "plan size independent of array length" test_plan_size_independent_of_length;
     prop_roundtrip;
   ]
