@@ -565,7 +565,8 @@ let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
   | Hpm_machine.Interp.Trap m | Hpm_machine.Mem.Fault m ->
       Fmt.epr "runtime fault: %s@." m;
       2
-  | Checkpoint.Error m | Restore.Error m | Collect.Error m ->
+  | Checkpoint.Error m | Restore.Error m | Stream.Corrupt m | Hpm_xdr.Xdr.Underflow m
+  | Collect.Error m ->
       Fmt.epr "migration error: %s@." m;
       3
   | Store.Error m | Store.Corrupt m ->

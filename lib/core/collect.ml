@@ -258,38 +258,28 @@ let collect ?(epoch = 0) (interp : Interp.t) (ti : Ti.t) : string * Cstats.colle
     ~prog_hash:(Stream.prog_hash interp.Interp.prog)
     ~rng_state:(Rng.get_state interp.Interp.rng)
     ~poll_id:w.poll_id;
-  (* frame metadata, top-down *)
-  Xdr.put_int_as_i32 buf (List.length interp.Interp.stack);
-  List.iter
-    (fun (fr : Interp.frame) ->
-      Xdr.put_string buf fr.Interp.func.Ir.name;
-      Xdr.put_int_as_i32 buf fr.Interp.block;
-      Xdr.put_int_as_i32 buf fr.Interp.index)
-    interp.Interp.stack;
+  Stream.put_frames buf
+    (List.map
+       (fun (fr : Interp.frame) -> (fr.Interp.func.Ir.name, fr.Interp.block, fr.Interp.index))
+       interp.Interp.stack);
   walk w
     {
       group = (fun names -> Xdr.put_int_as_i32 buf (List.length names));
       root = (fun name _ -> Xdr.put_string buf name);
       pointer =
-        (function
-        | Null -> Xdr.put_u8 buf Stream.tag_null
-        | Func i ->
-            Xdr.put_u8 buf Stream.tag_func;
-            Xdr.put_int_as_i32 buf i
-        | Seen (_, id, ord) ->
-            Xdr.put_u8 buf Stream.tag_ref;
-            Xdr.put_int_as_i32 buf id;
-            Xdr.put_int_as_i32 buf ord
-        | Fresh _ -> Xdr.put_u8 buf Stream.tag_block);
+        (fun t ->
+          Stream.put_ptr buf
+            (match t with
+            | Null -> Stream.Null
+            | Func i -> Stream.Func i
+            | Seen (_, id, ord) -> Stream.Ref (id, ord)
+            | Fresh _ -> Stream.Block));
       enter =
         (fun block id ->
-          Xdr.put_int_as_i32 buf id;
-          Stream.put_ident buf block.Mem.ident;
           let tid, count = Ti.encode_block_ty ti block.Mem.ty in
-          Xdr.put_int_as_i32 buf tid;
-          Xdr.put_int_as_i32 buf count);
+          Stream.put_def buf { Stream.id; ident = block.Mem.ident; tid; count });
       prims = (fun block at p -> Batch.encode ~at p buf block.Mem.bytes);
-      leave = (fun _ ord -> Xdr.put_int_as_i32 buf ord);
+      leave = (fun _ ord -> Stream.put_ordinal buf ord);
     };
   Stream.put_trailer buf;
   w.stats.Cstats.c_stream_bytes <- Buffer.length buf;

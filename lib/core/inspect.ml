@@ -8,8 +8,11 @@
     collected.
 
     The walker is deliberately independent of {!Restore} (no destination
-    machine, no allocation), so the two act as cross-checks on the format:
-    anything Restore accepts, Inspect can print, and vice versa. *)
+    machine, no allocation); both read through {!Stream}'s codecs, so
+    anything Restore accepts, Inspect can print.  The converse does not
+    hold: Inspect checks only the grammar, so it also prints streams
+    Restore refuses for their meaning (another program's fingerprint,
+    unknown names, resume points or ordinals out of range). *)
 
 open Hpm_lang
 open Hpm_xdr
@@ -28,44 +31,27 @@ type ctx = {
   mutable pointers : int;
 }
 
-let get_ident ctx = Stream.get_ident ctx.r
-
-let pp_ident ppf (ident : Hpm_machine.Mem.ident) = Hpm_machine.Mem.pp_ident ppf ident
-
 let rec walk_ptr ctx ~indent : string =
   ctx.pointers <- ctx.pointers + 1;
-  match Xdr.get_u8 ctx.r with
-  | t when t = Stream.tag_null -> "null"
-  | t when t = Stream.tag_func ->
-      Printf.sprintf "func#%d" (Xdr.get_int_of_i32 ctx.r)
-  | t when t = Stream.tag_ref ->
-      let id = Xdr.get_int_of_i32 ctx.r in
-      let ord = Xdr.get_int_of_i32 ctx.r in
+  match Stream.get_ptr ctx.r with
+  | Stream.Null -> "null"
+  | Stream.Func i -> Printf.sprintf "func#%d" i
+  | Stream.Ref (id, ord) ->
       if id >= ctx.next_id then error "reference to undefined block id %d" id;
       Printf.sprintf "-> block %d @%d" id ord
-  | t when t = Stream.tag_block ->
+  | Stream.Block ->
       walk_block ctx ~indent;
-      let ord = Xdr.get_int_of_i32 ctx.r in
+      let ord = Stream.get_ordinal ctx.r in
       Printf.sprintf "-> block %d @%d (defined above)" (ctx.next_id - 1) ord
-  | t -> error "unknown pointer tag %d" t
 
 and walk_block ctx ~indent =
-  let mi_id = Xdr.get_int_of_i32 ctx.r in
-  if mi_id <> ctx.next_id then
-    error "block ids out of order: got %d, expected %d" mi_id ctx.next_id;
+  let d = Stream.get_def ctx.r ~next:ctx.next_id in
   ctx.next_id <- ctx.next_id + 1;
   ctx.blocks <- ctx.blocks + 1;
-  let ident = get_ident ctx in
-  let tid = Xdr.get_int_of_i32 ctx.r in
-  let count = Xdr.get_int_of_i32 ctx.r in
-  if count < 1 || count > Xdr.remaining ctx.r then
-    error "implausible element count %d" count;
-  let ty =
-    try Ti.decode_block_ty ctx.ti (tid, count)
-    with Invalid_argument m -> error "bad type id %d: %s" tid m
-  in
+  let ty = Stream.def_ty ctx.ti d in
   let pad = String.make indent ' ' in
-  Fmt.pf ctx.ppf "%sblock %d: %a : %s@." pad mi_id pp_ident ident (Ty.to_string ty);
+  Fmt.pf ctx.ppf "%sblock %d: %a : %s@." pad d.Stream.id Hpm_machine.Mem.pp_ident
+    d.Stream.ident (Ty.to_string ty);
   let kinds = Ty.flatten ctx.ti.Ti.tenv ty in
   List.iteri
     (fun ord kind ->
@@ -87,7 +73,8 @@ let walk_datum ctx name ~indent =
   Fmt.pf ctx.ppf "%s  %s@." pad s
 
 (** Print a decoded listing of [data] to [ppf].  Returns
-    (blocks, pointers) counts.  @raise Error on malformed input. *)
+    (blocks, pointers) counts.
+    @raise Error or {!Stream.Corrupt} on malformed input *)
 let dump ?(ppf = Format.std_formatter) (prog : Hpm_ir.Ir.prog) (ti : Ti.t)
     (data : string) : int * int =
   let r = Xdr.reader_of_string data in
@@ -98,15 +85,7 @@ let dump ?(ppf = Format.std_formatter) (prog : Hpm_ir.Ir.prog) (ti : Ti.t)
     header.Stream.epoch header.Stream.rng_state;
   if not (Int64.equal header.Stream.prog_hash (Stream.prog_hash prog)) then
     Fmt.pf ppf "WARNING: program fingerprint does not match the given program@.";
-  let nframes = Xdr.get_int_of_i32 r in
-  if nframes <= 0 || nframes > 1_000_000 then error "implausible frame count %d" nframes;
-  let metas =
-    List.init nframes (fun _ ->
-        let fname = Xdr.get_string r in
-        let block = Xdr.get_int_of_i32 r in
-        let index = Xdr.get_int_of_i32 r in
-        (fname, block, index))
-  in
+  let metas = Stream.get_frames r in
   Fmt.pf ppf "call stack (top first):@.";
   List.iter
     (fun (fname, block, index) -> Fmt.pf ppf "  %s at B%d.%d@." fname block index)

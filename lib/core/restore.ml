@@ -87,50 +87,29 @@ let resolve_ident ctx (ident : Mem.ident) (ty : Ty.t) : Mem.block =
 
 let rec restore_ptr ctx : Mem.value =
   ctx.stats.Cstats.r_pointers <- ctx.stats.Cstats.r_pointers + 1;
-  match Xdr.get_u8 ctx.r with
-  | t when t = Stream.tag_null -> Mem.Vptr 0L
-  | t when t = Stream.tag_func ->
-      let fidx = Xdr.get_int_of_i32 ctx.r in
-      if fidx < 0 || fidx >= List.length ctx.interp.Interp.prog.Ir.funcs then
+  match Stream.get_ptr ctx.r with
+  | Stream.Null -> Mem.Vptr 0L
+  | Stream.Func fidx ->
+      if fidx >= List.length ctx.interp.Interp.prog.Ir.funcs then
         error "stream references function #%d" fidx;
       Mem.Vptr (Interp.func_addr fidx)
-  | t when t = Stream.tag_ref ->
-      let id = Xdr.get_int_of_i32 ctx.r in
-      let ord = Xdr.get_int_of_i32 ctx.r in
+  | Stream.Ref (id, ord) ->
       let block =
         try Msrlt.resolve ctx.res id
         with Msrlt.Unbound id -> error "stream references unbound block id %d" id
       in
       Mem.Vptr (addr_of ctx block ord)
-  | t when t = Stream.tag_block ->
+  | Stream.Block ->
       let block = restore_block ctx in
-      let ord = Xdr.get_int_of_i32 ctx.r in
-      Mem.Vptr (addr_of ctx block ord)
-  | t -> error "unknown pointer tag %d" t
+      Mem.Vptr (addr_of ctx block (Stream.get_ordinal ctx.r))
 
 (** Read a block definition: resolve or allocate the destination block,
     bind its mi_id, and decode the contents into destination
     representation. *)
 and restore_block ctx : Mem.block =
-  let mi_id = Xdr.get_int_of_i32 ctx.r in
-  if mi_id <> Msrlt.bound_count ctx.res then
-    error "block ids out of order: got %d, expected %d" mi_id
-      (Msrlt.bound_count ctx.res);
-  let ident = Stream.get_ident ctx.r in
-  let tid = Xdr.get_int_of_i32 ctx.r in
-  let count = Xdr.get_int_of_i32 ctx.r in
-  (* every scalar element occupies at least one byte in the stream, so a
-     plausible count never exceeds the remaining input: this stops a
-     corrupted count from triggering a huge allocation *)
-  if count < 1 || count > Xdr.remaining ctx.r then
-    error "implausible element count %d (only %d bytes of stream remain)" count
-      (Xdr.remaining ctx.r);
-  let ty =
-    try Ti.decode_block_ty ctx.ti (tid, count)
-    with Invalid_argument m -> error "bad type in stream: %s" m
-  in
-  let block = resolve_ident ctx ident ty in
-  Msrlt.bind ctx.res mi_id block;
+  let d = Stream.get_def ctx.r ~next:(Msrlt.bound_count ctx.res) in
+  let block = resolve_ident ctx d.Stream.ident (Stream.def_ty ctx.ti d) in
+  Msrlt.bind ctx.res d.Stream.id block;
   ctx.stats.Cstats.r_blocks <- ctx.stats.Cstats.r_blocks + 1;
   ctx.stats.Cstats.r_data_bytes <- ctx.stats.Cstats.r_data_bytes + block.Mem.size;
   let mem = ctx.interp.Interp.mem in
@@ -159,7 +138,9 @@ let restore_variable ctx (expected : Mem.block) name =
     poll-point where the source was suspended.  [expect_epoch] asserts the
     header's handoff incarnation number — a recovery path restoring a
     retained checkpoint passes the epoch it aborted, so a stale image from
-    an earlier attempt can never be resurrected. *)
+    an earlier attempt can never be resurrected.
+    @raise Error, or {!Stream.Corrupt} or [Xdr.Underflow] when the stream
+    breaks its grammar or ends early *)
 let restore ?expect_epoch (prog : Ir.prog) (arch : Hpm_arch.Arch.t) (ti : Ti.t)
     (data : string) : Interp.t * Cstats.restore =
   let r = Xdr.reader_of_string data in
@@ -188,15 +169,7 @@ let restore ?expect_epoch (prog : Ir.prog) (arch : Hpm_arch.Arch.t) (ti : Ti.t)
     }
   in
   (* frame metadata, top-down in the stream; build bottom-up *)
-  let nframes = Xdr.get_int_of_i32 r in
-  if nframes <= 0 then error "stream has %d frames" nframes;
-  let metas =
-    List.init nframes (fun _ ->
-        let fname = Xdr.get_string r in
-        let block = Xdr.get_int_of_i32 r in
-        let index = Xdr.get_int_of_i32 r in
-        (fname, block, index))
-  in
+  let metas = Stream.get_frames r in
   let bottom_up = List.rev metas in
   List.iteri
     (fun depth (fname, block, index) ->

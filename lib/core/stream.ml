@@ -30,7 +30,14 @@
 
     Frame metadata precedes all data so the restorer can pre-allocate
     every frame's variable blocks before any cross-frame pointer needs to
-    resolve. *)
+    resolve.
+
+    This module is the one owner of the grammar below the header: the
+    pointer ({!put_ptr}/{!get_ptr}), block-definition head
+    ({!put_def}/{!get_def}) and frame-table ({!put_frames}/{!get_frames})
+    codecs, with their checks.  Every writer and reader of the stream —
+    and the store's manifests and chunk payloads, whose datums are
+    pointers without the inline-block form — goes through them. *)
 
 open Hpm_lang
 open Hpm_xdr
@@ -81,6 +88,105 @@ let get_ident r : Mem.ident =
   | t when t = id_heap -> Mem.Iheap
   | t when t = id_string -> Mem.Istring (Xdr.get_int_of_i32 r)
   | t -> corrupt "unknown ident tag %d" t
+
+(** A pointer on the wire.  [Block] is a first visit: the block's
+    {!def} head, its contents and then the {!put_ordinal} the pointer
+    lands on follow the tag. *)
+type ptr =
+  | Null
+  | Ref of int * int  (** (mi_id, ordinal) of a block defined earlier *)
+  | Block
+  | Func of int  (** function index *)
+
+let put_ptr b = function
+  | Null -> Xdr.put_u8 b tag_null
+  | Ref (id, ord) ->
+      Xdr.put_u8 b tag_ref;
+      Xdr.put_int_as_i32 b id;
+      Xdr.put_int_as_i32 b ord
+  | Block -> Xdr.put_u8 b tag_block
+  | Func i ->
+      Xdr.put_u8 b tag_func;
+      Xdr.put_int_as_i32 b i
+
+(* every integer a pointer carries is an index *)
+let get_index r what =
+  let n = Xdr.get_int_of_i32 r in
+  if n < 0 then corrupt "negative %s %d" what n;
+  n
+
+(** @raise Corrupt on an unknown tag or a negative id, ordinal or
+    function index *)
+let get_ptr r : ptr =
+  match Xdr.get_u8 r with
+  | t when t = tag_null -> Null
+  | t when t = tag_ref ->
+      let id = get_index r "block id" in
+      Ref (id, get_index r "ordinal")
+  | t when t = tag_block -> Block
+  | t when t = tag_func -> Func (get_index r "function index")
+  | t -> corrupt "unknown pointer tag %d" t
+
+(** The ordinal that closes a [Block] pointer, after its contents. *)
+let put_ordinal = Xdr.put_int_as_i32
+
+let get_ordinal r = get_index r "ordinal"
+
+(** Head of a block definition, before its contents: the block type is
+    the TI-table id [tid] × element [count]. *)
+type def = { id : int; ident : Mem.ident; tid : int; count : int }
+
+let put_def b d =
+  Xdr.put_int_as_i32 b d.id;
+  put_ident b d.ident;
+  Xdr.put_int_as_i32 b d.tid;
+  Xdr.put_int_as_i32 b d.count
+
+(** Read a definition head whose mi_id must be [next]: ids are dense, in
+    first-visit order.  Every element occupies at least one byte of
+    contents, so a plausible count never exceeds the remaining input:
+    this stops a corrupted count from triggering a huge allocation.
+    @raise Corrupt otherwise *)
+let get_def r ~next : def =
+  let id = Xdr.get_int_of_i32 r in
+  if id <> next then corrupt "block ids out of order: got %d, expected %d" id next;
+  let ident = get_ident r in
+  let tid = Xdr.get_int_of_i32 r in
+  let count = Xdr.get_int_of_i32 r in
+  if count < 1 || count > Xdr.remaining r then
+    corrupt "implausible element count %d (only %d bytes of stream remain)" count
+      (Xdr.remaining r);
+  { id; ident; tid; count }
+
+(** The block type a definition names in [ti].
+    @raise Corrupt when [ti] has no such type *)
+let def_ty ti d : Ty.t =
+  try Hpm_msr.Ti.decode_block_ty ti (d.tid, d.count)
+  with Invalid_argument m -> corrupt "block %d has a bad type: %s" d.id m
+
+(** The frame table, top of the stack first: (function name, basic
+    block, instruction index) of each resume point. *)
+let put_frames b frames =
+  Xdr.put_int_as_i32 b (List.length frames);
+  List.iter
+    (fun (fname, block, index) ->
+      Xdr.put_string b fname;
+      Xdr.put_int_as_i32 b block;
+      Xdr.put_int_as_i32 b index)
+    frames
+
+(** A process has at least one frame, and each takes at least 12 bytes
+    (name length, block, index), so a plausible count never exceeds a
+    twelfth of the remaining input.
+    @raise Corrupt otherwise *)
+let get_frames r : (string * int * int) list =
+  let n = Xdr.get_int_of_i32 r in
+  if n < 1 || n > Xdr.remaining r / 12 then corrupt "implausible frame count %d" n;
+  List.init n (fun _ ->
+      let fname = Xdr.get_string r in
+      let block = Xdr.get_int_of_i32 r in
+      let index = Xdr.get_int_of_i32 r in
+      (fname, block, index))
 
 (** Canonical stream width of each scalar kind (pointers excluded: they
     are structured, not fixed-width). *)

@@ -115,17 +115,8 @@ let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t)
           Tplan.iter (Tplan.plan w.Collect.plans block.Mem.ty)
             ~prims:(fun at p -> Batch.encode ~at p b block.Mem.bytes)
             ~ptr:(fun _ _ _ ->
-              let d = List.hd !rest in
-              rest := List.tl !rest;
-              match d with
-              | Store.Dnull -> Xdr.put_u8 b Stream.tag_null
-              | Store.Dref (bid, tord) ->
-                  Xdr.put_u8 b Stream.tag_ref;
-                  Xdr.put_int_as_i32 b bid;
-                  Xdr.put_int_as_i32 b tord
-              | Store.Dfunc i ->
-                  Xdr.put_u8 b Stream.tag_func;
-                  Xdr.put_int_as_i32 b i);
+              Store.put_datum b (List.hd !rest);
+              rest := List.tl !rest);
           let payload = Buffer.contents b in
           let hash = Digest.string payload in
           Hashtbl.replace chunks hash payload;
@@ -217,24 +208,19 @@ let materialize ~(ti : Ti.t) ~(lookup : string -> string) (mf : Store.manifest) 
   let buf = Buffer.create 4096 in
   let rec emit_datum (d : Store.datum) : unit =
     match d with
-    | Store.Dnull -> Xdr.put_u8 buf Stream.tag_null
-    | Store.Dfunc i ->
-        Xdr.put_u8 buf Stream.tag_func;
-        Xdr.put_int_as_i32 buf i
+    | Store.Dnull -> Stream.put_ptr buf Stream.Null
+    | Store.Dfunc i -> Stream.put_ptr buf (Stream.Func i)
     | Store.Dref (bid, ord) ->
         let id =
           match Hashtbl.find_opt bid2mi bid with
           | Some i -> i
           | None -> Store.corrupt "datum references unknown bid %d" bid
         in
-        if emitted.(id) then (
-          Xdr.put_u8 buf Stream.tag_ref;
-          Xdr.put_int_as_i32 buf id;
-          Xdr.put_int_as_i32 buf ord)
+        if emitted.(id) then Stream.put_ptr buf (Stream.Ref (id, ord))
         else (
-          Xdr.put_u8 buf Stream.tag_block;
+          Stream.put_ptr buf Stream.Block;
           emit_block id;
-          Xdr.put_int_as_i32 buf ord)
+          Stream.put_ordinal buf ord)
   and emit_block (id : int) : unit =
     emitted.(id) <- true;
     let bi = mf.Store.mf_blocks.(id) in
@@ -244,14 +230,11 @@ let materialize ~(ti : Ti.t) ~(lookup : string -> string) (mf : Store.manifest) 
         (Store.hash_hex bi.Store.b_hash) (String.length payload) bi.Store.b_size;
     if Digest.string payload <> bi.Store.b_hash then
       Store.corrupt "chunk %s content does not match its hash" (Store.hash_hex bi.Store.b_hash);
-    Xdr.put_int_as_i32 buf id;
-    Stream.put_ident buf bi.Store.b_ident;
-    Xdr.put_int_as_i32 buf bi.Store.b_tid;
-    Xdr.put_int_as_i32 buf bi.Store.b_count;
-    let ty =
-      try Ti.decode_block_ty ti (bi.Store.b_tid, bi.Store.b_count)
-      with Invalid_argument m -> Store.corrupt "block %d has a bad type id: %s" id m
+    let d =
+      { Stream.id; ident = bi.Store.b_ident; tid = bi.Store.b_tid; count = bi.Store.b_count }
     in
+    Stream.put_def buf d;
+    let ty = try Stream.def_ty ti d with Stream.Corrupt m -> Store.corrupt "%s" m in
     let r = Xdr.reader_of_string payload in
     (try
        Tplan.iter (Tplan.plan plans ty)
@@ -260,17 +243,7 @@ let materialize ~(ti : Ti.t) ~(lookup : string -> string) (mf : Store.manifest) 
            if Xdr.remaining r < w then Store.corrupt "chunk of block %d is short" id;
            Buffer.add_subbytes buf r.Xdr.data r.Xdr.pos w;
            Xdr.skip r w)
-         ~ptr:(fun _ _ _ ->
-           match Xdr.get_u8 r with
-           | t when t = Stream.tag_null -> Xdr.put_u8 buf Stream.tag_null
-           | t when t = Stream.tag_func ->
-               Xdr.put_u8 buf Stream.tag_func;
-               Xdr.put_int_as_i32 buf (Xdr.get_int_of_i32 r)
-           | t when t = Stream.tag_ref ->
-               let tbid = Xdr.get_int_of_i32 r in
-               let tord = Xdr.get_int_of_i32 r in
-               emit_datum (Store.Dref (tbid, tord))
-           | t -> Store.corrupt "chunk of block %d has bad datum tag %d" id t)
+         ~ptr:(fun _ _ _ -> emit_datum (Store.get_datum r))
      with Xdr.Underflow m -> Store.corrupt "chunk of block %d is truncated: %s" id m);
     if not (Xdr.at_end r) then
       Store.corrupt "chunk of block %d has %d trailing bytes" id (Xdr.remaining r)
@@ -278,28 +251,17 @@ let materialize ~(ti : Ti.t) ~(lookup : string -> string) (mf : Store.manifest) 
   Stream.put_header ~epoch:mf.Store.mf_epoch buf ~src_arch:mf.Store.mf_src_arch
     ~prog_hash:mf.Store.mf_prog_hash ~rng_state:mf.Store.mf_rng_state
     ~poll_id:mf.Store.mf_poll_id;
-  Xdr.put_int_as_i32 buf (List.length mf.Store.mf_frames);
-  List.iter
-    (fun (fname, blk, idx) ->
-      Xdr.put_string buf fname;
-      Xdr.put_int_as_i32 buf blk;
-      Xdr.put_int_as_i32 buf idx)
-    mf.Store.mf_frames;
-  List.iter
-    (fun live ->
-      Xdr.put_int_as_i32 buf (List.length live);
-      List.iter
-        (fun (name, d) ->
-          Xdr.put_string buf name;
-          emit_datum d)
-        live)
-    mf.Store.mf_live;
-  Xdr.put_int_as_i32 buf (List.length mf.Store.mf_globals);
-  List.iter
-    (fun (name, d) ->
-      Xdr.put_string buf name;
-      emit_datum d)
-    mf.Store.mf_globals;
+  Stream.put_frames buf mf.Store.mf_frames;
+  let emit_roots roots =
+    Xdr.put_int_as_i32 buf (List.length roots);
+    List.iter
+      (fun (name, d) ->
+        Xdr.put_string buf name;
+        emit_datum d)
+      roots
+  in
+  List.iter emit_roots mf.Store.mf_live;
+  emit_roots mf.Store.mf_globals;
   Stream.put_trailer buf;
   Buffer.contents buf
 

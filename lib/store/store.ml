@@ -54,12 +54,14 @@ let corrupt fmt = Fmt.kstr (fun m -> raise (Corrupt m)) fmt
 (* ------------------------------------------------------------------ *)
 
 (** A collection root or pointer element, resolved to machine-independent
-    form.  Unlike the v2 stream there is no inline-definition tag: blocks
-    live in the manifest's table, so a reference is always (bid,
-    ordinal).  References name the {e source-side runtime block id}
-    ([Mem.bid]), not the mi_id: bids are stable across epochs for a live
-    block, so a chunk payload's bytes — and hence its content hash — do
-    not change when heap churn renumbers the DFS order. *)
+    form, encoded as a {!Stream.ptr}.  Unlike the v2 stream there is no
+    inline-definition form: blocks live in the manifest's table, so a
+    reference is always (bid, ordinal), and no consumer of a manifest
+    has a [Stream.Block] case to handle.  References name the {e
+    source-side runtime block id} ([Mem.bid]), not the mi_id: bids are
+    stable across epochs for a live block, so a chunk payload's bytes —
+    and hence its content hash — do not change when heap churn renumbers
+    the DFS order. *)
 type datum =
   | Dnull
   | Dref of int * int  (** (source bid, ordinal) *)
@@ -97,31 +99,41 @@ let max_count = 10_000_000
 
 let hash_hex = Digest.to_hex
 
-let put_datum b = function
-  | Dnull -> Xdr.put_u8 b Stream.tag_null
-  | Dref (id, ord) ->
-      Xdr.put_u8 b Stream.tag_ref;
-      Xdr.put_int_as_i32 b id;
-      Xdr.put_int_as_i32 b ord
-  | Dfunc i ->
-      Xdr.put_u8 b Stream.tag_func;
-      Xdr.put_int_as_i32 b i
+let put_datum b d =
+  Stream.put_ptr b
+    (match d with
+    | Dnull -> Stream.Null
+    | Dref (bid, ord) -> Stream.Ref (bid, ord)
+    | Dfunc i -> Stream.Func i)
 
+(** @raise Corrupt on an inline block, or whatever {!Stream.get_ptr}
+    rejects *)
 let get_datum r =
-  match Xdr.get_u8 r with
-  | t when t = Stream.tag_null -> Dnull
-  | t when t = Stream.tag_ref ->
-      let id = Xdr.get_int_of_i32 r in
-      let ord = Xdr.get_int_of_i32 r in
-      if id < 0 || ord < 0 then corrupt "negative datum reference (%d, %d)" id ord;
-      Dref (id, ord)
-  | t when t = Stream.tag_func -> Dfunc (Xdr.get_int_of_i32 r)
-  | t -> corrupt "unknown manifest datum tag %d" t
+  match Stream.get_ptr r with
+  | Stream.Null -> Dnull
+  | Stream.Ref (bid, ord) -> Dref (bid, ord)
+  | Stream.Func i -> Dfunc i
+  | Stream.Block -> corrupt "inline block definition in a datum"
+  | exception Stream.Corrupt m -> corrupt "%s" m
 
 let get_count r what =
   let n = Xdr.get_int_of_i32 r in
   if n < 0 || n > max_count then corrupt "implausible %s count %d" what n;
   n
+
+(* A root group: count, then name and datum per root. *)
+let put_roots b roots =
+  Xdr.put_int_as_i32 b (List.length roots);
+  List.iter
+    (fun (name, d) ->
+      Xdr.put_string b name;
+      put_datum b d)
+    roots
+
+let get_roots r what =
+  List.init (get_count r what) (fun _ ->
+      let name = Xdr.get_string r in
+      (name, get_datum r))
 
 let put_binfo b bi =
   Stream.put_ident b bi.b_ident;
@@ -166,28 +178,9 @@ let serialize_manifest_gen ~version ~(put_blocks : Buffer.t -> binfo array -> un
   Xdr.put_i64 b mf.mf_prog_hash;
   Xdr.put_i64 b mf.mf_rng_state;
   Xdr.put_int_as_i32 b mf.mf_poll_id;
-  Xdr.put_int_as_i32 b (List.length mf.mf_frames);
-  List.iter
-    (fun (fname, blk, idx) ->
-      Xdr.put_string b fname;
-      Xdr.put_int_as_i32 b blk;
-      Xdr.put_int_as_i32 b idx)
-    mf.mf_frames;
-  List.iter
-    (fun live ->
-      Xdr.put_int_as_i32 b (List.length live);
-      List.iter
-        (fun (name, d) ->
-          Xdr.put_string b name;
-          put_datum b d)
-        live)
-    mf.mf_live;
-  Xdr.put_int_as_i32 b (List.length mf.mf_globals);
-  List.iter
-    (fun (name, d) ->
-      Xdr.put_string b name;
-      put_datum b d)
-    mf.mf_globals;
+  Stream.put_frames b mf.mf_frames;
+  List.iter (put_roots b) mf.mf_live;
+  put_roots b mf.mf_globals;
   Xdr.put_int_as_i32 b (Array.length mf.mf_blocks);
   put_blocks b mf.mf_blocks;
   Buffer.add_string b mf_trailer;
@@ -213,27 +206,9 @@ let parse_manifest_gen ~version ~(get_blocks : Xdr.rbuf -> int -> binfo array)
     let mf_prog_hash = Xdr.get_i64 r in
     let mf_rng_state = Xdr.get_i64 r in
     let mf_poll_id = Xdr.get_int_of_i32 r in
-    let nframes = get_count r "frame" in
-    let mf_frames =
-      List.init nframes (fun _ ->
-          let fname = Xdr.get_string r in
-          let blk = Xdr.get_int_of_i32 r in
-          let idx = Xdr.get_int_of_i32 r in
-          (fname, blk, idx))
-    in
-    let mf_live =
-      List.init nframes (fun _ ->
-          let nlive = get_count r "live-var" in
-          List.init nlive (fun _ ->
-              let name = Xdr.get_string r in
-              (name, get_datum r)))
-    in
-    let nglobals = get_count r "global" in
-    let mf_globals =
-      List.init nglobals (fun _ ->
-          let name = Xdr.get_string r in
-          (name, get_datum r))
-    in
+    let mf_frames = Stream.get_frames r in
+    let mf_live = List.map (fun _ -> get_roots r "live-var") mf_frames in
+    let mf_globals = get_roots r "global" in
     let nblocks = get_count r "block" in
     let mf_blocks = get_blocks r nblocks in
     let t = get_raw r 4 "manifest trailer" in
@@ -266,7 +241,9 @@ let parse_manifest_gen ~version ~(get_blocks : Xdr.rbuf -> int -> binfo array)
       mf_globals;
       mf_blocks;
     }
-  with Xdr.Underflow m | Stream.Corrupt m -> corrupt "truncated manifest: %s" m
+  with
+  | Xdr.Underflow m -> corrupt "truncated manifest: %s" m
+  | Stream.Corrupt m -> corrupt "bad manifest: %s" m
 
 let parse_manifest (data : string) : manifest =
   parse_manifest_gen ~version:mf_version

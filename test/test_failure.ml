@@ -175,6 +175,32 @@ let test_wrong_trailer_magic () =
       (restore_raises m (patched data (n - i) "?"))
   done
 
+let test_frame_count_bound () =
+  let m, data = bitonic_stream () in
+  (* the frame count follows the hash, rng-state, poll-id and epoch *)
+  let off = hash_off data + 24 in
+  List.iter
+    (fun n ->
+      let b = Buffer.create 4 in
+      Hpm_xdr.Xdr.put_int_as_i32 b n;
+      let bad = patched data off (Buffer.contents b) in
+      let error f = match f () with _ -> None | exception Stream.Corrupt msg -> Some msg in
+      let from_restore =
+        error (fun () ->
+            ignore (Restore.restore m.Migration.prog Hpm_arch.Arch.sparc20 m.Migration.ti bad))
+      in
+      let from_inspect =
+        error (fun () ->
+            ignore
+              (Inspect.dump ~ppf:(Format.make_formatter (fun _ _ _ -> ()) ignore)
+                 m.Migration.prog m.Migration.ti bad))
+      in
+      check_bool (Printf.sprintf "frame count %d rejected" n) true (Option.is_some from_restore);
+      check_bool
+        (Printf.sprintf "frame count %d: same error from Restore and Inspect" n)
+        true (from_restore = from_inspect))
+    [ 0; -1; String.length data; 1_000_001; 0x7fff_ffff ]
+
 let test_netsim_fault_injection_path () =
   (* the whole pipeline through the simulated network with faults *)
   let m, data = bitonic_stream () in
@@ -197,4 +223,5 @@ let suite =
     tc "live dangling pointer refused" test_live_dangling_pointer_refused;
     tc "dead dangling pointer tolerated" test_dead_dangling_pointer_ok;
     tc "faults injected on the wire" test_netsim_fault_injection_path;
+    tc "frame count above its bound rejected" test_frame_count_bound;
   ]

@@ -1,4 +1,4 @@
-(** Stream-inspector tests: the read-only walker must accept exactly what
+(** Stream-inspector tests: the read-only walker must accept whatever
     Restore accepts, with matching structural counts. *)
 
 open Hpm_core
@@ -58,6 +58,36 @@ let test_rejects_corrupt () =
       | exception (Inspect.Error _ | Stream.Corrupt _ | Hpm_xdr.Xdr.Underflow _) -> ())
     [ 2; 20; n / 2; n - 2 ]
 
+let test_bitflip_sweep () =
+  (* the property the module header claims: whatever Restore accepts,
+     Inspect walks, with the same block count *)
+  let m, data, _ = stream_of "listops" ~n:30 ~after:10 in
+  let accepted = ref 0 in
+  for i = 0 to String.length data - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string data in
+        Bytes.set b i (Char.chr (Char.code data.[i] lxor mask));
+        let flipped = Bytes.to_string b in
+        match Restore.restore m.Migration.prog Hpm_arch.Arch.x86_64 m.Migration.ti flipped with
+        | _, rs -> (
+            incr accepted;
+            match Inspect.dump ~ppf:null_ppf m.Migration.prog m.Migration.ti flipped with
+            | blocks, _ ->
+                check_int (Printf.sprintf "byte %d ^ 0x%x: block count" i mask)
+                  rs.Cstats.r_blocks blocks
+            | exception e ->
+                Alcotest.failf "byte %d ^ 0x%x: Restore accepts, Inspect raises %s" i mask
+                  (Printexc.to_string e))
+        | exception
+            ( Restore.Error _ | Stream.Corrupt _ | Hpm_xdr.Xdr.Underflow _
+            | Hpm_machine.Mem.Fault _ | Hpm_machine.Interp.Trap _ ) ->
+            ())
+      [ 0x01; 0xff ]
+  done;
+  (* payload bytes survive a flip, so the sweep exercises acceptance *)
+  check_bool "some flipped streams restore" true (!accepted > 0)
+
 let test_warns_wrong_program () =
   let m1, data, _ = stream_of "listops" ~n:30 ~after:10 in
   ignore m1;
@@ -78,5 +108,6 @@ let suite =
     tc "agrees with restore" test_agrees_with_restore;
     tc "listing is readable" test_output_readable;
     tc "corrupt streams rejected" test_rejects_corrupt;
+    tc "bit flips Restore accepts, Inspect accepts" test_bitflip_sweep;
     tc "wrong program warns" test_warns_wrong_program;
   ]

@@ -523,6 +523,47 @@ let test_chunk_file_damage () =
       check_int "restored chunk reads back" (String.length (Store.get_chunk st h))
         (List.find (fun bi -> bi.Store.b_hash = h) (Array.to_list mf.Store.mf_blocks)).Store.b_size)
 
+let test_chunk_negative_ordinal () =
+  let m =
+    prepare_user
+      {|
+int x;
+int *p;
+int main() {
+  x = 5;
+  p = &x;
+  #pragma poll here
+  print_int(*p);
+  return 0;
+}
+|}
+  in
+  let proc, _ = suspend m Hpm_arch.Arch.dec5000 0 in
+  let mf, chunks, _ = Snapshot.collect ~epoch:1 ~proc:"t" proc m.Migration.ti in
+  let global name =
+    List.find (fun bi -> bi.Store.b_ident = Mem.Iglobal name) (Array.to_list mf.Store.mf_blocks)
+  in
+  ignore (Snapshot.materialize ~ti:m.Migration.ti ~lookup:(Hashtbl.find chunks) mf : string);
+  (* p's chunk, rewritten to point at x's ordinal -1, under its own hash *)
+  let b = Buffer.create 16 in
+  Store.put_datum b (Store.Dref ((global "x").Store.b_bid, -1));
+  let payload = Buffer.contents b in
+  let hash = Digest.string payload in
+  let bad = { (global "p") with Store.b_hash = hash; b_size = String.length payload } in
+  let mf =
+    {
+      mf with
+      Store.mf_blocks =
+        Array.map
+          (fun bi -> if bi.Store.b_ident = bad.Store.b_ident then bad else bi)
+          mf.Store.mf_blocks;
+    }
+  in
+  let lookup h = if h = hash then payload else Hashtbl.find chunks h in
+  expect_raise "negative ordinal in a chunk"
+    (function Store.Corrupt _ -> true | _ -> false)
+    (fun () -> Snapshot.materialize ~ti:m.Migration.ti ~lookup mf)
+
 (* ---- golden v3 manifests and deltas ----
 
    Manifest hashes and delta-wire MD5s captured from the pre-optimization
@@ -608,5 +649,6 @@ let suite =
     tc "manifest truncation fuzz" test_manifest_truncation;
     tc "delta truncation + bit-flip fuzz" test_delta_truncation;
     tc "chunk file damage fuzz" test_chunk_file_damage;
+    tc "chunk datum with a negative ordinal rejected" test_chunk_negative_ordinal;
     tc_slow "golden v3 manifests and deltas unchanged" test_golden_deltas;
   ]

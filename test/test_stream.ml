@@ -40,6 +40,59 @@ let test_ident_codec () =
   check_bool "heap" true (ident_roundtrip Mem.Iheap = Mem.Iheap);
   check_bool "string" true (ident_roundtrip (Mem.Istring 9) = Mem.Istring 9)
 
+let test_ptr_codec () =
+  let reader = Hpm_xdr.Xdr.reader_of_string in
+  let bytes_of put v =
+    let b = Buffer.create 16 in
+    put b v;
+    Buffer.contents b
+  in
+  let max = 0x7fff_ffff in
+  List.iter
+    (fun p ->
+      let r = reader (bytes_of Stream.put_ptr p) in
+      check_bool "round trip" true (Stream.get_ptr r = p);
+      check_bool "whole encoding read" true (Hpm_xdr.Xdr.at_end r))
+    Stream.
+      [ Null; Block; Ref (0, 0); Ref (0, max); Ref (max, 0); Ref (max, max); Func 0; Func max ];
+  let corrupt = function Stream.Corrupt _ -> true | _ -> false in
+  List.iter
+    (fun t ->
+      expect_raise (Printf.sprintf "tag %d" t) corrupt (fun () ->
+          Stream.get_ptr (reader (String.make 1 (Char.chr t)))))
+    [ 4; 255 ];
+  expect_raise "negative ordinal" corrupt (fun () ->
+      Stream.get_ptr (reader "\001\000\000\000\000\255\255\255\255"));
+  (* a manifest datum is the same encoding over bids, without tag 2 *)
+  let module Store = Hpm_store.Store in
+  List.iter
+    (fun (d, p) ->
+      check_string "datum encodes as a pointer" (bytes_of Stream.put_ptr p)
+        (bytes_of Store.put_datum d);
+      check_bool "datum round trip" true
+        (Store.get_datum (reader (bytes_of Store.put_datum d)) = d))
+    [
+      (Store.Dnull, Stream.Null);
+      (Store.Dref (max, max), Stream.Ref (max, max));
+      (Store.Dfunc 0, Stream.Func 0);
+    ];
+  expect_raise "inline block in a manifest"
+    (function Store.Corrupt _ -> true | _ -> false)
+    (fun () -> Store.get_datum (reader (bytes_of Stream.put_ptr Stream.Block)))
+
+let test_def_codec () =
+  let d = { Stream.id = 7; ident = Mem.Ilocal (2, "v"); tid = 3; count = 4 } in
+  let b = Buffer.create 32 in
+  Stream.put_def b d;
+  let head = Buffer.contents b in
+  let read ?(contents = 4) next =
+    Stream.get_def (Hpm_xdr.Xdr.reader_of_string (head ^ String.make contents '\000')) ~next
+  in
+  check_bool "round trip" true (read 7 = d);
+  let corrupt = function Stream.Corrupt _ -> true | _ -> false in
+  expect_raise "id out of order" corrupt (fun () -> read 6);
+  expect_raise "count above the remaining input" corrupt (fun () -> read ~contents:3 7)
+
 let test_prim_codec () =
   let roundtrip k v =
     let b = Buffer.create 16 in
@@ -117,6 +170,8 @@ let suite =
     tc "header roundtrip" test_header_roundtrip;
     tc "header rejects corruption" test_header_rejects;
     tc "ident codec" test_ident_codec;
+    tc "pointer codec" test_ptr_codec;
+    tc "definition head codec" test_def_codec;
     tc "prim codec" test_prim_codec;
     tc "canonical widths" test_canonical_widths;
     tc "program fingerprint stability" test_prog_hash_stability;
