@@ -64,6 +64,7 @@ type handler = {
 (** A collection in progress. *)
 type t = {
   interp : Interp.t;
+  ti : Ti.t;  (** the program's TI table: plans, fingerprint, liveness *)
   col : Msrlt.collect_side;
   plans : Tplan.table;
   stats : Cstats.collect;  (** every field but [c_stream_bytes] *)
@@ -89,11 +90,16 @@ let suspended_poll_id (interp : Interp.t) : int =
     {!Mem.write_mark} of the previous epoch, for dirty-block counts
     ([-1]: none, every block is dirty).  Plans come from [ti]'s table for
     the process's layout.
-    @raise Error unless suspended at a poll-point *)
+    @raise Error unless suspended at a poll-point
+    @raise Invalid_argument when [ti] was not built for the process's
+    program *)
 let start ~since (interp : Interp.t) (ti : Ti.t) : t =
+  if interp.Interp.prog != ti.Ti.prog then
+    invalid_arg "Collect.start: the TI table describes another program";
   let poll_id = suspended_poll_id interp in
   {
     interp;
+    ti;
     col = Msrlt.collector ~since interp.Interp.mem;
     plans = Tplan.table ti interp.Interp.mem.Mem.layout;
     stats = Cstats.collect_zero ();
@@ -187,16 +193,10 @@ let save_variable w h name (block : Mem.block) : unit =
   h.root name block;
   save_edge w h block 0
 
-(* The live set of a suspended frame, per its suspension instruction. *)
-let frame_live liveness (fr : Interp.frame) ~is_top : string list =
-  let live =
-    match Hashtbl.find_opt liveness fr.Interp.func.Ir.name with
-    | Some l -> l
-    | None ->
-        let l = Liveness.analyze fr.Interp.func in
-        Hashtbl.add liveness fr.Interp.func.Ir.name l;
-        l
-  in
+(* The live set of a suspended frame, per its suspension instruction,
+   from the liveness the TI table computed once for the program. *)
+let frame_live ti (fr : Interp.frame) ~is_top : string list =
+  let live = Ti.live ti fr.Interp.func in
   let block = fr.Interp.block and index = fr.Interp.index in
   if index = 0 then
     (* suspended at a block boundary cannot happen: polls and calls are
@@ -220,11 +220,10 @@ let frame_live liveness (fr : Interp.frame) ~is_top : string list =
     @raise Error on a dangling, wild or misaligned pointer *)
 let walk w h : unit =
   let interp = w.interp in
-  let liveness = Hashtbl.create 8 in
   List.iteri
     (fun i (fr : Interp.frame) ->
       w.stats.Cstats.c_frames <- w.stats.Cstats.c_frames + 1;
-      let live = frame_live liveness fr ~is_top:(i = 0) in
+      let live = frame_live w.ti fr ~is_top:(i = 0) in
       h.group live;
       List.iter
         (fun name ->
@@ -255,7 +254,7 @@ let collect ?(epoch = 0) (interp : Interp.t) (ti : Ti.t) : string * Cstats.colle
   let buf = Buffer.create 4096 in
   Stream.put_header ~epoch buf
     ~src_arch:interp.Interp.arch.Hpm_arch.Arch.name
-    ~prog_hash:(Stream.prog_hash interp.Interp.prog)
+    ~prog_hash:ti.Ti.fingerprint
     ~rng_state:(Rng.get_state interp.Interp.rng)
     ~poll_id:w.poll_id;
   Stream.put_frames buf

@@ -74,16 +74,19 @@ let walk_datum ctx name ~indent =
 
 (** Print a decoded listing of [data] to [ppf].  Returns
     (blocks, pointers) counts.
-    @raise Error or {!Stream.Corrupt} on malformed input *)
+    @raise Error or {!Stream.Corrupt} on malformed input
+    @raise Invalid_argument when [ti] was not built for [prog] *)
 let dump ?(ppf = Format.std_formatter) (prog : Hpm_ir.Ir.prog) (ti : Ti.t)
     (data : string) : int * int =
+  if prog != ti.Ti.prog then
+    invalid_arg "Inspect.dump: the TI table describes another program";
   let r = Xdr.reader_of_string data in
   let header = try Stream.get_header r with Stream.Corrupt m -> error "header: %s" m in
   let ctx = { ti; r; ppf; next_id = 0; blocks = 0; pointers = 0 } in
   Fmt.pf ppf "stream: %d bytes, from %s, poll #%d, epoch %d, rng=0x%Lx@."
     (String.length data) header.Stream.src_arch header.Stream.poll_id
     header.Stream.epoch header.Stream.rng_state;
-  if not (Int64.equal header.Stream.prog_hash (Stream.prog_hash prog)) then
+  if not (Int64.equal header.Stream.prog_hash ti.Ti.fingerprint) then
     Fmt.pf ppf "WARNING: program fingerprint does not match the given program@.";
   let metas = Stream.get_frames r in
   Fmt.pf ppf "call stack (top first):@.";

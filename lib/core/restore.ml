@@ -139,16 +139,20 @@ let restore_variable ctx (expected : Mem.block) name =
     header's handoff incarnation number — a recovery path restoring a
     retained checkpoint passes the epoch it aborted, so a stale image from
     an earlier attempt can never be resurrected.
+    The stream's fingerprint is checked against [prog]'s, which [ti]
+    holds.
     @raise Error, or {!Stream.Corrupt} or [Xdr.Underflow] when the stream
-    breaks its grammar or ends early *)
+    breaks its grammar or ends early
+    @raise Invalid_argument when [ti] was not built for [prog] *)
 let restore ?expect_epoch (prog : Ir.prog) (arch : Hpm_arch.Arch.t) (ti : Ti.t)
     (data : string) : Interp.t * Cstats.restore =
+  if prog != ti.Ti.prog then
+    invalid_arg "Restore.restore: the TI table describes another program";
   let r = Xdr.reader_of_string data in
   let header =
     try Stream.get_header r with Stream.Corrupt m -> error "bad header: %s" m
   in
-  let expected_hash = Stream.prog_hash prog in
-  if not (Int64.equal header.Stream.prog_hash expected_hash) then
+  if not (Int64.equal header.Stream.prog_hash ti.Ti.fingerprint) then
     error
       "program fingerprint mismatch: the stream was produced by a different \
        migratable program";

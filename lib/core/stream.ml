@@ -265,17 +265,3 @@ let check_trailer r =
   if m <> trailer then corrupt "bad trailer %S" m;
   Xdr.skip r 4;
   if not (Xdr.at_end r) then corrupt "%d trailing bytes after trailer" (Xdr.remaining r)
-
-(** Stable program fingerprint: both endpoints must run the same
-    migratable program.  Hash of the printed IR, which is deterministic
-    for a given source + pre-compiler strategy. *)
-let prog_hash (prog : Hpm_ir.Ir.prog) : int64 =
-  let s = Fmt.str "%a" Hpm_ir.Ir.pp_prog prog in
-  (* FNV-1a, independent of OCaml's internal hash *)
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h

@@ -14,7 +14,14 @@
     restoring functions" correspond to the translation plans
     [Hpm_core.Tplan] builds lazily, at most once per (arch, type id), and
     attaches to this table ({!attached}), so they live exactly as long as
-    the prepared program. *)
+    the prepared program.
+
+    The table also carries the program's other per-program constants,
+    computed once when it is built (after poll-point insertion): the
+    program fingerprint every stream and manifest header carries, and
+    each function's liveness — the paper's pre-compiler computes the
+    live variables at each poll-point once, before the migratable binary
+    is distributed (§1). *)
 
 open Hpm_lang
 open Hpm_ir
@@ -31,9 +38,12 @@ type entry = {
 type attached = ..
 
 type t = {
+  prog : Ir.prog;
   tenv : Ty.tenv;
   entries : entry array;
   by_ty : (Ty.t, entry) Hashtbl.t;
+  fingerprint : int64;
+  live : (string, Liveness.t) Hashtbl.t;
   mutable attached : (Hpm_arch.Arch.t * attached) list;
 }
 
@@ -95,6 +105,18 @@ let collect_types (prog : Ir.prog) : Ty.t list =
     prog.Ir.funcs;
   List.rev !out
 
+(* Hash of the printed IR, which is deterministic for a given source +
+   pre-compiler strategy: FNV-1a, independent of OCaml's internal hash. *)
+let fingerprint_of (prog : Ir.prog) : int64 =
+  let s = Fmt.str "%a" Ir.pp_prog prog in
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  !h
+
 let build (prog : Ir.prog) : t =
   let tys = collect_types prog in
   let entries =
@@ -112,7 +134,22 @@ let build (prog : Ir.prog) : t =
   in
   let by_ty = Hashtbl.create (Array.length entries) in
   Array.iter (fun e -> Hashtbl.replace by_ty e.ty e) entries;
-  { tenv = prog.Ir.tenv; entries; by_ty; attached = [] }
+  let live = Hashtbl.create (List.length prog.Ir.funcs) in
+  List.iter (fun (f : Ir.func) -> Hashtbl.replace live f.Ir.name (Liveness.analyze f)) prog.Ir.funcs;
+  {
+    prog;
+    tenv = prog.Ir.tenv;
+    entries;
+    by_ty;
+    fingerprint = fingerprint_of prog;
+    live;
+    attached = [];
+  }
+
+let live t (f : Ir.func) : Liveness.t =
+  match Hashtbl.find_opt t.live f.Ir.name with
+  | Some l -> l
+  | None -> invalid_arg (Printf.sprintf "Ti.live: no function %s" f.Ir.name)
 
 (** Wire encoding of a block type: (tid, count).  Fixed-size arrays whose
     element type is in the table are sent as (element tid, length) so heap

@@ -4,7 +4,9 @@
     Carries each type's flattened element view, found by the structural
     type.  The per-(arch, type) translation plans ([Hpm_core.Tplan]),
     built lazily and attached to this table, are the moral equivalent of
-    the paper's generated per-type saving/restoring functions. *)
+    the paper's generated per-type saving/restoring functions.  The
+    table also holds the program's other per-program constants, computed
+    once by {!build}: its fingerprint and each function's liveness. *)
 
 open Hpm_lang
 
@@ -22,16 +24,29 @@ type entry = {
 type attached = ..
 
 type t = {
+  prog : Hpm_ir.Ir.prog;  (** the program the table describes *)
   tenv : Ty.tenv;
   entries : entry array;
   by_ty : (Ty.t, entry) Hashtbl.t;  (** structural: no string per lookup *)
+  fingerprint : int64;
+      (** stable program fingerprint: both endpoints must run the same
+          migratable program.  FNV-1a of the printed IR, which is
+          deterministic for a given source + pre-compiler strategy. *)
+  live : (string, Hpm_ir.Liveness.t) Hashtbl.t;  (** per function name *)
   mutable attached : (Hpm_arch.Arch.t * attached) list;
 }
 
-(** Build the table for a lowered program: scalars first (stable primitive
-    ids), then struct definitions, globals, string-literal arrays, and
-    function-local/malloc types in program order. *)
+(** Build the table for a lowered program, after poll-point insertion:
+    scalars first (stable primitive ids), then struct definitions,
+    globals, string-literal arrays, and function-local/malloc types in
+    program order.  Also computes the fingerprint and every function's
+    liveness, once. *)
 val build : Hpm_ir.Ir.prog -> t
+
+(** The liveness of one of the program's functions.
+    @raise Invalid_argument when the program has no function of that
+    name. *)
+val live : t -> Hpm_ir.Ir.func -> Hpm_ir.Liveness.t
 
 val entry_count : t -> int
 val find : t -> Ty.t -> entry option

@@ -24,23 +24,62 @@ module Obs = Hpm_obs.Obs
 (* CRC-32 (IEEE 802.3, polynomial 0xEDB88320), pure OCaml              *)
 (* ------------------------------------------------------------------ *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 1 to 8 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Slicing-by-8 (Intel's "slicing-by-N" scheme): [crc_tables] holds
+   eight 256-entry tables back to back.  Table 0 is the classic bytewise
+   table; entry n of table k is the CRC state after feeding byte n
+   followed by k zero bytes, so one step folds eight input bytes with
+   eight independent lookups. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let c = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (c lsr 8) lxor t.(c land 0xff)
+    done
+  done;
+  t
+
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* little-endian 32-bit word at [i], unsigned; no bounds check *)
+let word_le s i =
+  let w = get32u s i in
+  Int32.to_int (if Sys.big_endian then swap32 w else w) land 0xFFFFFFFF
 
 (** CRC-32 of [len] bytes of [s] starting at [pos], as an unsigned int in
-    [0, 2^32).  Matches the standard IEEE checksum (zlib's [crc32]). *)
+    [0, 2^32).  Matches the standard IEEE checksum (zlib's [crc32]).  The
+    window is checked once; the loops then read without bounds checks.
+    @raise Invalid_argument when the window is not inside [s] *)
 let crc32 ?(pos = 0) ?len (s : string) : int =
   let len = match len with Some l -> l | None -> String.length s - pos in
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Transport.crc32";
+  let t = crc_tables in
+  let tb k i = Array.unsafe_get t ((k * 256) + i) in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let stop8 = pos + len - 8 in
+  while !i <= stop8 do
+    let a = !c lxor word_le s !i and b = word_le s (!i + 4) in
+    c :=
+      tb 7 (a land 0xff)
+      lxor tb 6 ((a lsr 8) land 0xff)
+      lxor tb 5 ((a lsr 16) land 0xff)
+      lxor tb 4 (a lsr 24)
+      lxor tb 3 (b land 0xff)
+      lxor tb 2 ((b lsr 8) land 0xff)
+      lxor tb 1 ((b lsr 16) land 0xff)
+      lxor tb 0 (b lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c := tb 0 ((!c lxor Char.code (String.unsafe_get s j)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 
@@ -56,19 +95,26 @@ let header_bytes = 4 + (4 * 4)
    five bytes), 9 bytes on the reverse channel. *)
 let control_bytes = 9
 
-let encode_frame ~seq ~total (payload : string) : string =
-  let b = Buffer.create (header_bytes + String.length payload) in
+(* The frame of [len] bytes of [data] from [pos]: the CRC is computed
+   over that slice in place, which is copied once, into the frame. *)
+let frame_of ~seq ~total data ~pos ~len : string =
+  let b = Buffer.create (header_bytes + len) in
   Buffer.add_string b frame_magic;
   Xdr.put_int_as_i32 b seq;
   Xdr.put_int_as_i32 b total;
-  Xdr.put_int_as_i32 b (String.length payload);
-  Xdr.put_int_as_i32 b (crc32 payload);
-  Buffer.add_string b payload;
+  Xdr.put_int_as_i32 b len;
+  Xdr.put_int_as_i32 b (crc32 ~pos ~len data);
+  Buffer.add_substring b data pos len;
   Buffer.contents b
 
-(** Validate a delivered frame against the chunk the receiver expects.
-    Returns the payload, or a reason for the NAK. *)
-let decode_frame ~expect_seq ~expect_total (wire : string) : (string, string) result =
+let encode_frame ~seq ~total (payload : string) : string =
+  frame_of ~seq ~total payload ~pos:0 ~len:(String.length payload)
+
+(* Validate a delivered frame against the chunk the receiver expects,
+   checking the CRC over the payload in place.  Returns the payload
+   length (the payload is [wire] from [header_bytes] on), or a reason
+   for the NAK. *)
+let check_frame ~expect_seq ~expect_total (wire : string) : (int, string) result =
   if String.length wire < header_bytes then
     Error (Printf.sprintf "short frame: %d bytes" (String.length wire))
   else if String.sub wire 0 4 <> frame_magic then Error "bad frame magic"
@@ -88,10 +134,14 @@ let decode_frame ~expect_seq ~expect_total (wire : string) : (string, string) re
         (Printf.sprintf "length %d but %d payload bytes arrived" len
            (String.length wire - header_bytes))
     else
-      let payload = String.sub wire header_bytes len in
-      let actual = crc32 payload in
+      let actual = crc32 ~pos:header_bytes ~len wire in
       if actual <> crc then Error (Printf.sprintf "CRC mismatch (got %08x, want %08x)" actual crc)
-      else Ok payload
+      else Ok len
+
+(** Validate a delivered frame against the chunk the receiver expects.
+    Returns the payload, or a reason for the NAK. *)
+let decode_frame ~expect_seq ~expect_total (wire : string) : (string, string) result =
+  Result.map (String.sub wire header_bytes) (check_frame ~expect_seq ~expect_total wire)
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeats                                                          *)
@@ -237,8 +287,7 @@ let transfer ?(config = default_config) ?ts0 (ch : Netsim.t) (data : string) : o
       Delivered (Buffer.contents out, st))
     else
       let off = seq * config.chunk_size in
-      let payload = String.sub data off (min config.chunk_size (n - off)) in
-      let frame = encode_frame ~seq ~total payload in
+      let frame = frame_of ~seq ~total data ~pos:off ~len:(min config.chunk_size (n - off)) in
       let rec attempt k =
         let delivered, tx = Netsim.send ch frame in
         st.t_sent <- st.t_sent + 1;
@@ -247,14 +296,14 @@ let transfer ?(config = default_config) ?ts0 (ch : Netsim.t) (data : string) : o
         if k > 0 then (
           st.t_retries <- st.t_retries + 1;
           st.t_resent_bytes <- st.t_resent_bytes + String.length frame);
-        match decode_frame ~expect_seq:seq ~expect_total:total delivered with
-        | Ok good ->
+        match check_frame ~expect_seq:seq ~expect_total:total delivered with
+        | Ok len ->
             control ();
             (* the *verified* bytes enter the stream, not the original:
                byte-identity of the delivered stream is a protocol
                guarantee, not an artifact of sharing memory *)
-            Buffer.add_string out good;
-            st.t_payload_bytes <- st.t_payload_bytes + String.length good;
+            Buffer.add_substring out delivered header_bytes len;
+            st.t_payload_bytes <- st.t_payload_bytes + len;
             chunk (seq + 1)
         | Error reason ->
             control ();

@@ -12,7 +12,9 @@
 
 (** CRC-32 (IEEE 802.3 polynomial, zlib-compatible) of [len] bytes of the
     string starting at [pos]; whole string by default.  Unsigned, in
-    [0, 2^32). *)
+    [0, 2^32).  A slicing-by-8 table kernel: the window is checked once,
+    then read without per-byte bounds checks.
+    @raise Invalid_argument when the window is not inside the string *)
 val crc32 : ?pos:int -> ?len:int -> string -> int
 
 (** Per-frame overhead in wire bytes (magic + seq/total/len/crc). *)

@@ -154,7 +154,7 @@ type t = {
   mutable r_incarnation : int;
   mutable r_fenced : bool;
   mutable r_src_alive : bool;
-  mutable r_pins : string list;           (* retention pins currently held *)
+  mutable r_pins : (string, unit) Hashtbl.t;  (* retention pins currently held *)
   mutable r_time : float;                 (* simulated replication seconds *)
   r_stats : Cstats.delta;
   mutable r_events : event list;          (* newest first *)
@@ -231,7 +231,7 @@ let create ?(config = default_config) ?faults ?journal ~(channel : Netsim.t)
     r_incarnation = 1;
     r_fenced = false;
     r_src_alive = true;
-    r_pins = [];
+    r_pins = Hashtbl.create 0;
     r_time = 0.0;
     r_stats = Cstats.delta_zero ();
     r_events = [];
@@ -576,15 +576,18 @@ let heartbeat_round t epoch =
    [Store.retain]+[Store.gc] cannot reclaim them from under the
    subscription. *)
 let refresh_pins t =
-  let fresh =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun mf -> Store.manifest_hashes mf)
-         (List.filter_map (fun x -> x)
-            (t.r_manifest :: List.map (fun sb -> sb.sb_manifest) t.r_standbys)))
-  in
-  Store.pin t.r_store fresh;
-  Store.unpin t.r_store t.r_pins;
+  let fresh = Hashtbl.create (max 64 (Hashtbl.length t.r_pins)) in
+  List.iter
+    (function
+      | Some mf ->
+          Array.iter (fun bi -> Hashtbl.replace fresh bi.Store.b_hash ()) mf.Store.mf_blocks
+      | None -> ())
+    (t.r_manifest :: List.map (fun sb -> sb.sb_manifest) t.r_standbys);
+  (* pin and unpin only the difference: a hash in both sets keeps its
+     one pin *)
+  let minus a b = Hashtbl.fold (fun h () acc -> if Hashtbl.mem b h then acc else h :: acc) a [] in
+  Store.pin t.r_store (minus fresh t.r_pins);
+  Store.unpin t.r_store (minus t.r_pins fresh);
   t.r_pins <- fresh
 
 (* ------------------------------------------------------------------ *)
@@ -866,5 +869,5 @@ let migrate ?faults t ~(sub : string) : migration_outcome =
 
 (** Release every retention pin this replica holds (end of session). *)
 let close t =
-  Store.unpin t.r_store t.r_pins;
-  t.r_pins <- []
+  Store.unpin t.r_store (Hashtbl.fold (fun h () acc -> h :: acc) t.r_pins []);
+  Hashtbl.reset t.r_pins

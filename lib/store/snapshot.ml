@@ -172,7 +172,7 @@ let collect ?(epoch = 0) ?(proc = "proc") ?cache (interp : Interp.t) (ti : Ti.t)
       Store.mf_proc = proc;
       mf_epoch = epoch;
       mf_src_arch = interp.Interp.arch.Hpm_arch.Arch.name;
-      mf_prog_hash = Stream.prog_hash interp.Interp.prog;
+      mf_prog_hash = ti.Ti.fingerprint;
       mf_rng_state = Rng.get_state interp.Interp.rng;
       mf_poll_id = w.Collect.poll_id;
       mf_frames =

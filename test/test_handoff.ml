@@ -204,6 +204,62 @@ let test_epoch_stamped_and_checked () =
     (function Restore.Error msg -> contains_sub msg "epoch mismatch" | _ -> false)
     (fun () -> Restore.restore ~expect_epoch:6 m.Migration.prog dst_arch m.Migration.ti data)
 
+let test_fingerprint_per_prepared_program () =
+  (* the fingerprint is computed once per prepared program: two programs
+     prepared from one source carry equal fingerprints, and migrating
+     them alternately, op by op, commits every handoff with that
+     fingerprint in its stream; a stream from another program is still
+     refused *)
+  let src = Hpm_workloads.Bitonic.source 64 in
+  let ms = [| prepare src; prepare src |] in
+  let fp m = m.Migration.ti.Hpm_msr.Ti.fingerprint in
+  check_bool "one source, one fingerprint" true (Int64.equal (fp ms.(0)) (fp ms.(1)));
+  let procs = Array.map (fun m -> fst (suspend m src_arch 0)) ms in
+  let outs = Array.map Interp.output procs in
+  let channel = Netsim.ethernet_100 () in
+  for op = 1 to 6 do
+    let k = op mod 2 in
+    let p = procs.(k) in
+    let streams = ref [] in
+    let encode s = streams := s :: !streams; s in
+    let dst = if p.Interp.arch == src_arch then dst_arch else src_arch in
+    match (Handoff.execute ~channel ~epoch:op ~encode ms.(k) p dst).Handoff.outcome with
+    | Handoff.Committed c ->
+        List.iter
+          (fun s ->
+            let h = Stream.get_header (Hpm_xdr.Xdr.reader_of_string s) in
+            check_bool
+              (Printf.sprintf "op %d: stream carries the fingerprint" op)
+              true
+              (Int64.equal h.Stream.prog_hash (fp ms.(k))))
+          !streams;
+        let q = c.Handoff.c_dst in
+        Interp.request_migration_after q 2;
+        (match Interp.run q with
+        | Interp.RPolled _ -> ()
+        | _ -> Alcotest.failf "op %d: finished before the next poll" op);
+        procs.(k) <- q;
+        outs.(k) <- outs.(k) ^ Interp.output q;
+        Buffer.clear q.Interp.out
+    | o -> Alcotest.failf "op %d: expected Committed, got %s" op (Handoff.outcome_name o)
+  done;
+  let other = prepare (Hpm_workloads.Nqueens.source 6) in
+  let data, _ = Collect.collect procs.(0) ms.(0).Migration.ti in
+  expect_raise "another program's stream refused"
+    (function Restore.Error msg -> contains_sub msg "fingerprint mismatch" | _ -> false)
+    (fun () -> Restore.restore other.Migration.prog dst_arch other.Migration.ti data);
+  (* the TI table carries the fingerprint, so it must be the table of the
+     program that will run, not merely an equal one *)
+  expect_raise "a TI table of another prepared program refused"
+    (function Invalid_argument _ -> true | _ -> false)
+    (fun () -> Restore.restore ms.(0).Migration.prog dst_arch ms.(1).Migration.ti data);
+  Array.iteri
+    (fun k p ->
+      Interp.clear_migration_request p;
+      check_string (Printf.sprintf "program %d exactly-once output" k) (expected_output src)
+        (finish_output outs.(k) p))
+    procs
+
 let test_negative_epoch_rejected () =
   let m = prepare (Hpm_workloads.Nqueens.source 6) in
   let p, _ = suspend m src_arch 3 in
@@ -471,6 +527,7 @@ let suite =
     tc "link failure resumes the source" test_link_failure_resumes_source;
     tc "epoch stamped in header and checked on restore" test_epoch_stamped_and_checked;
     tc "negative epoch rejected" test_negative_epoch_rejected;
+    tc "fingerprint computed once per prepared program" test_fingerprint_per_prepared_program;
     tc "fault-plan and config validation" test_fault_plan_validation;
     tc "verifier passes a clean image" test_verify_clean_image;
     tc "verifier rejects a wild pointer" test_verify_wild_pointer;

@@ -592,6 +592,45 @@ let test_apply_is_pinned_against_gc () =
       Replica.close r;
       check_int "close releases the retention pins" 0 (Store.pinned_chunks st))
 
+let test_pins_track_union () =
+  (* the retention pins are exactly the newest manifest's chunks plus
+     every standby base's, epoch after epoch, while a partitioned
+     standby's base falls behind the newest manifest *)
+  let config = { Replica.default_config with Replica.miss_limit = 99 } in
+  with_store (fun st ->
+      let _, _, r =
+        make_replica ~config
+          ~faults:(Netsim.rep_faults ~partition:[ ("sb0", 2, 6) ] ())
+          ~standbys:[ ("sb0", sparc); ("sb1", dec) ]
+          st
+      in
+      let hashes = function Some mf -> Store.manifest_hashes mf | None -> [] in
+      let behind = ref false in
+      for epoch = 1 to 6 do
+        (match Replica.stream_epoch r with
+        | Replica.Streamed e -> check_int "epoch streamed" epoch e
+        | _ -> Alcotest.fail "stream ended early");
+        let newest = hashes r.Replica.r_manifest in
+        let union = Hashtbl.create 64 in
+        List.iter
+          (fun h -> Hashtbl.replace union h ())
+          (List.concat_map hashes
+             (r.Replica.r_manifest
+             :: List.map (fun sb -> sb.Replica.sb_manifest) (Replica.standbys r)));
+        if Hashtbl.length union > List.length newest then behind := true;
+        check_int
+          (Printf.sprintf "epoch %d: pinned count is the union's" epoch)
+          (Hashtbl.length union) (Store.pinned_chunks st);
+        Hashtbl.iter
+          (fun h () ->
+            check_bool (Printf.sprintf "epoch %d: union chunk pinned" epoch) true
+              (Store.is_pinned st h))
+          union
+      done;
+      check_bool "a standby base held chunks the newest manifest dropped" true !behind;
+      Replica.close r;
+      check_int "close releases the retention pins" 0 (Store.pinned_chunks st))
+
 let suite =
   [
     tc "stream: ships, commits, standbys byte-identical" test_stream_ships_and_commits;
@@ -613,4 +652,5 @@ let suite =
     tc "store: pin protects an in-flight delta base from gc" test_pin_protects_delta_base;
     tc "store: crash inside the pin window releases pins" test_pin_released_on_crash;
     tc "store: gc during a live subscription stays exactly-once" test_apply_is_pinned_against_gc;
+    tc "store: retention pins equal the newest and standby-base chunks" test_pins_track_union;
   ]

@@ -449,6 +449,48 @@ let test_delta_smaller_and_applies () =
           check_string "re-apply is harmless" (Store.hash_hex (Store.manifest_hash applied))
             (Store.hash_hex (Store.manifest_hash again))))
 
+let test_delta_missing_base_chunk () =
+  (* an incremental delta ships only the chunks its base lacks; when a
+     base-inherited chunk has vanished from the receiver's store, apply
+     must refuse to commit a manifest it could never materialize *)
+  with_store (fun src ->
+      with_store (fun dst ->
+          let m = prepare (workload "jacobi" 4) in
+          let p, _ = suspend m Hpm_arch.Arch.ultra5 1 in
+          let cache = Snapshot.new_cache () in
+          let acc = Hashtbl.create 64 in
+          let collect_ship epoch p =
+            let mf, chunks, stats = Snapshot.collect ~epoch ~proc:"j" ~cache p m.Migration.ti in
+            Hashtbl.iter (Hashtbl.replace acc) chunks;
+            Snapshot.persist src mf chunks stats;
+            mf
+          in
+          let lookup = Hashtbl.find acc in
+          let base = Store.apply dst (Store.encode_delta ~lookup (collect_ship 1 p)) in
+          let p = match advance p 1 with Some p -> p | None -> Alcotest.fail "finished" in
+          let mf2 = collect_ship 2 p in
+          let wire = Store.encode_delta ~base ~lookup mf2 in
+          let inherited =
+            List.find
+              (fun h -> List.mem h (Store.manifest_hashes base))
+              (Store.manifest_hashes mf2)
+          in
+          let path =
+            Filename.concat (Filename.concat dst.Store.dir "chunks")
+              (Store.hash_hex inherited ^ ".ck")
+          in
+          let saved = In_channel.with_open_bin path In_channel.input_all in
+          Sys.remove path;
+          expect_raise "missing base chunk"
+            (function Store.Corrupt m -> contains_sub m "unmaterializable" | _ -> false)
+            (fun () -> Store.apply dst ~expect_base:base wire);
+          check_bool "no manifest committed" true
+            (Store.manifest_epochs dst ~proc:"j" = [ 1 ]);
+          (* with the chunk back, the same delta applies *)
+          Out_channel.with_open_bin path (fun oc -> output_string oc saved);
+          check_int "delta applies once the chunk is back" 2
+            (Store.apply dst ~expect_base:base wire).Store.mf_epoch))
+
 (* every-prefix truncation fuzz, in the style of test_checkpoint *)
 let cuts n =
   if n <= 1500 then List.init n Fun.id
@@ -646,6 +688,7 @@ let suite =
     tc "unwritable store directory" test_unwritable_store;
     tc "hostile process name rejected" test_bad_proc_name;
     tc "delta wire: smaller, base-checked, idempotent" test_delta_smaller_and_applies;
+    tc "delta missing a base-inherited chunk is refused" test_delta_missing_base_chunk;
     tc "manifest truncation fuzz" test_manifest_truncation;
     tc "delta truncation + bit-flip fuzz" test_delta_truncation;
     tc "chunk file damage fuzz" test_chunk_file_damage;

@@ -28,6 +28,55 @@ let test_crc32_detects_flips () =
       Alcotest.failf "flip at %d not detected" i
   done
 
+(* The bytewise reference: the textbook table-driven CRC-32, one byte
+   per step, kept here so the kernel is checked against an independent
+   implementation. *)
+let crc32_ref ~pos ~len s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 1 to 8 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* random strings with a window inside them: any start, so unaligned
+   ones too, and lengths covering every 0-7 byte tail after the 8-byte
+   steps *)
+let prop_crc32_kernel =
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:char (int_range 0 100) >>= fun s ->
+      let n = String.length s in
+      int_range 0 n >>= fun pos ->
+      int_range 0 (n - pos) >>= fun len -> return (s, pos, len))
+  in
+  qt ~count:2000 "crc32 kernel equals the bytewise reference"
+    (QCheck.make ~print:(fun (s, pos, len) -> Printf.sprintf "%S ~pos:%d ~len:%d" s pos len) gen)
+    (fun (s, pos, len) ->
+      let want = crc32_ref ~pos ~len s in
+      Transport.crc32 ~pos ~len s = want && Transport.crc32 (String.sub s pos len) = want)
+
+let test_crc32_window_checked () =
+  let s = "0123456789abcdef" in
+  List.iter
+    (fun (pos, len) ->
+      expect_raise
+        (Printf.sprintf "window ~pos:%d ~len:%d refused" pos len)
+        (function Invalid_argument _ -> true | _ -> false)
+        (fun () -> ignore (Transport.crc32 ~pos ~len s)))
+    [ (-1, 4); (0, -1); (0, 17); (16, 1); (9, 8); (17, 0); (max_int, 1); (1, max_int) ];
+  expect_raise "~pos past the end refused, default length"
+    (function Invalid_argument _ -> true | _ -> false)
+    (fun () -> ignore (Transport.crc32 ~pos:17 s));
+  check_int "empty window at the end" 0 (Transport.crc32 ~pos:16 ~len:0 s)
+
 (* ---- framing ---- *)
 
 let test_frame_roundtrip () =
@@ -294,6 +343,8 @@ let suite =
     tc "heartbeat wire vector and round-trip" test_heartbeat_vector;
     tc "heartbeat rejects damage" test_heartbeat_rejects_damage;
     tc "crc32 detects every single-byte flip" test_crc32_detects_flips;
+    prop_crc32_kernel;
+    tc "crc32 window out of range refused" test_crc32_window_checked;
     tc "frame round-trip and expectations" test_frame_roundtrip;
     tc "damaged frames rejected" test_frame_rejects_damage;
     tc "zero-fault path has no resends" test_zero_fault_no_overhead;
