@@ -9,7 +9,6 @@
      dune exec bench/main.exe -- fig2b   -- Figure 2(b) bitonic sweep
      dune exec bench/main.exe -- complexity
      dune exec bench/main.exe -- overhead
-     dune exec bench/main.exe -- micro   -- Bechamel micro-benchmarks
 
    Absolute times are ours (modern hardware simulating 1990s machines), so
    they cannot match the paper's seconds; the claims being reproduced are
@@ -845,57 +844,6 @@ let bench_obs () =
   if !failures > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bench_micro () =
-  hr "Bechamel micro-benchmarks: one kernel per table/figure";
-  let open Bechamel in
-  let mk_collect name src_text after =
-    let m = Migration.prepare src_text in
-    let src = suspend m Hpm_arch.Arch.ultra5 after in
-    Test.make ~name (Staged.stage (fun () -> ignore (Collect.collect src m.Migration.ti)))
-  in
-  let mk_restore name src_text after =
-    let m = Migration.prepare src_text in
-    let src = suspend m Hpm_arch.Arch.ultra5 after in
-    let data, _ = Collect.collect src m.Migration.ti in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore (Restore.restore m.Migration.prog Hpm_arch.Arch.sparc20 m.Migration.ti data)))
-  in
-  let tests =
-    [
-      (* Table 1 kernels *)
-      mk_collect "table1/linpack-collect" (Hpm_workloads.Linpack.source 300) 80;
-      mk_restore "table1/linpack-restore" (Hpm_workloads.Linpack.source 300) 80;
-      mk_collect "table1/bitonic-collect" (Hpm_workloads.Bitonic.source 4000) 24_000;
-      mk_restore "table1/bitonic-restore" (Hpm_workloads.Bitonic.source 4000) 24_000;
-      (* Fig 2a kernel: large flat data *)
-      mk_collect "fig2a/linpack600-collect" (Hpm_workloads.Linpack.source 600) 150;
-      (* Fig 2b kernel: many nodes *)
-      mk_collect "fig2b/bitonic8000-collect" (Hpm_workloads.Bitonic.source 8000) 48_000;
-    ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) () in
-  pr "%-28s %14s@." "kernel" "ns/run";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-      in
-      Hashtbl.iter
-        (fun name m ->
-          let est = Analyze.one ols (Toolkit.Instance.monotonic_clock) m in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> pr "%-28s %14.0f@." name t
-          | _ -> pr "%-28s %14s@." name "n/a")
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let all () =
   bench_het ();
@@ -910,8 +858,7 @@ let all () =
   bench_recovery ();
   bench_delta ();
   bench_census ();
-  bench_obs ();
-  bench_micro ()
+  bench_obs ()
 
 (* The machine-readable trajectory: run the deterministic BENCH_v1 suite
    and write the JSON document (default BENCH_v1.json, or argv.(2)).
@@ -990,7 +937,6 @@ let () =
   | "obs" -> bench_obs ()
   | "json" -> bench_json ()
   | "sched" -> bench_sched ()
-  | "micro" -> bench_micro ()
   | "quick" -> quick ()
   | "all" -> all ()
   | other ->

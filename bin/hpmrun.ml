@@ -147,7 +147,7 @@ let run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net
               Fmt.epr "hpmrun: process did not run to completion after the failed round@.";
               2))
 
-let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
+let run file from_ to_ after report show_net loss corrupt
     max_retries net_seed crash_src crash_dst drop_ack drop_probe ack_deadline
     probe_retries store_dir delta precopy_rounds precopy_threshold restore_store
     store_gc gc_dry_run journal_file trace_file metrics_file standby
@@ -485,7 +485,7 @@ let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
                     (Replica.epoch r) standby (Replica.epoch r);
                   print_string (Replica.released_output r);
                   0))))
-    | Some st when to_ = None && save_ckpt = None && load_ckpt = None -> (
+    | Some st when to_ = None -> (
         (* incremental snapshot mode: run to the poll, commit, stop *)
         let arch = Hpm_arch.Arch.by_name_exn from_ in
         let p = Migration.start m arch in
@@ -517,20 +517,6 @@ let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
         run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net
           ~st ~proc ~rounds ~threshold:precopy_threshold
     | Some _ | None -> (
-    match (save_ckpt, load_ckpt) with
-    | Some path, _ ->
-        (* run on --from, checkpoint at the poll, stop *)
-        let arch = Hpm_arch.Arch.by_name_exn from_ in
-        let out = Checkpoint.run_and_save m arch ~after_polls:after path in
-        print_string out;
-        Fmt.pr "; checkpointed to %s@." path;
-        0
-    | None, Some path ->
-        (* resume a checkpoint on --from and run to completion *)
-        let arch = Hpm_arch.Arch.by_name_exn from_ in
-        print_string (Checkpoint.resume_and_finish m arch path);
-        0
-    | None, None ->
     match to_ with
     | None ->
         let arch = Hpm_arch.Arch.by_name_exn from_ in
@@ -565,8 +551,7 @@ let run file from_ to_ after report show_net save_ckpt load_ckpt loss corrupt
   | Hpm_machine.Interp.Trap m | Hpm_machine.Mem.Fault m ->
       Fmt.epr "runtime fault: %s@." m;
       2
-  | Checkpoint.Error m | Restore.Error m | Stream.Corrupt m | Hpm_xdr.Xdr.Underflow m
-  | Collect.Error m ->
+  | Restore.Error m | Stream.Corrupt m | Hpm_xdr.Xdr.Underflow m | Collect.Error m ->
       Fmt.epr "migration error: %s@." m;
       3
   | Store.Error m | Store.Corrupt m ->
@@ -592,16 +577,6 @@ let () =
   in
   let report = Arg.(value & flag & info [ "report" ] ~doc:"print the handoff trace and migration statistics") in
   let show_net = Arg.(value & flag & info [ "net" ] ~doc:"print simulated network transfer times") in
-  let save_ckpt =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint-to" ] ~docv:"FILE"
-             ~doc:"run on --from, write a checkpoint at the poll, and stop")
-  in
-  let load_ckpt =
-    Arg.(value & opt (some string) None
-         & info [ "restore-from" ] ~docv:"FILE"
-             ~doc:"resume a checkpoint file on --from and run to completion")
-  in
   let loss =
     Arg.(value & opt float 0.0
          & info [ "loss" ] ~docv:"P"
@@ -661,8 +636,9 @@ let () =
   let store_dir =
     Arg.(value & opt (some string) None
          & info [ "store-dir" ] ~docv:"DIR"
-             ~doc:"content-addressed checkpoint store; without --to, commit an \
-                   incremental snapshot at the poll and stop")
+             ~doc:"content-addressed checkpoint store, the one checkpoint/restart \
+                   path; without --to, commit an incremental snapshot at the \
+                   poll and stop")
   in
   let delta =
     Arg.(value & flag
@@ -686,7 +662,7 @@ let () =
     Arg.(value & flag
          & info [ "restore-latest" ]
              ~doc:"resume the newest committed snapshot in --store-dir on --from \
-                   and run to completion")
+                   (any architecture) and run to completion")
   in
   let store_gc =
     Arg.(value & opt (some int) None
@@ -743,9 +719,9 @@ let () =
                    incarnation, and run the survivor to completion")
   in
   let run_term =
-    Term.(const run $ file $ from_ $ to_ $ after $ report $ show_net $ save_ckpt
-          $ load_ckpt $ loss $ corrupt $ max_retries $ net_seed $ crash_src
-          $ crash_dst $ drop_ack $ drop_probe $ ack_deadline $ probe_retries
+    Term.(const run $ file $ from_ $ to_ $ after $ report $ show_net $ loss
+          $ corrupt $ max_retries $ net_seed $ crash_src $ crash_dst $ drop_ack
+          $ drop_probe $ ack_deadline $ probe_retries
           $ store_dir $ delta $ precopy_rounds $ precopy_threshold $ restore_store
           $ store_gc $ gc_dry_run $ journal_file $ trace_file $ metrics_file
           $ standby $ replica_epochs $ promote)

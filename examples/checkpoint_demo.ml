@@ -1,49 +1,68 @@
-(* Heterogeneous checkpoint / restart.
+(* Heterogeneous checkpoint / restart through the checkpoint store.
 
    The migration stream is a complete machine-independent process image,
-   so writing it to disk gives checkpointing for free: this demo runs a
-   quicksort on a little-endian DECstation, checkpoints it mid-sort to a
-   file, then restarts the same file twice — once on a big-endian SPARC
-   and once on an LP64 x86-64 box — and shows both completions agree with
-   an uninterrupted run.  (qsort's arithmetic stays within 32 bits, so
-   even the ILP32 -> LP64 restart is output-identical; see README on
-   width-dependent programs.)
+   so committing it to disk gives checkpointing for free: this demo runs a
+   quicksort on a little-endian DECstation, commits a snapshot of it
+   mid-sort into a temporary content-addressed store, shows the decoded
+   image, then restarts the newest committed epoch twice — once on a
+   big-endian SPARC and once on an LP64 x86-64 box — and shows both
+   completions agree with an uninterrupted run.  (qsort's arithmetic
+   stays within 32 bits, so even the ILP32 -> LP64 restart is
+   output-identical; see README on width-dependent programs.)
 
      dune exec examples/checkpoint_demo.exe
 *)
 
 open Hpm_core
+open Hpm_machine
+open Hpm_store
+
+let rec rm_rf path =
+  if Sys.is_directory path then (
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Unix.rmdir path)
+  else Sys.remove path
 
 let () =
   let m = Migration.prepare (Hpm_workloads.Qsort.source 4_000) in
   let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
-  let path = Filename.temp_file "hpm_demo" ".ckpt" in
+  let dir = Filename.temp_dir "hpm_demo" ".store" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      Fmt.pr "running on dec5000, checkpointing to %s mid-build...@." path;
-      let before = Checkpoint.run_and_save m Hpm_arch.Arch.dec5000 ~after_polls:2500 path in
-      Fmt.pr "checkpoint written: %d bytes@." (Unix.stat path).Unix.st_size;
+      let st = Store.open_store dir in
+      Fmt.pr "running on dec5000, checkpointing into %s mid-build...@." dir;
+      let p = Migration.start m Hpm_arch.Arch.dec5000 in
+      Interp.request_migration_after p 2500;
+      (match Interp.run p with
+      | Interp.RPolled _ -> ()
+      | Interp.RDone _ | Interp.RFuel -> failwith "qsort finished before the checkpoint");
+      let before = Interp.output p in
+      let mf, chunks, stats = Snapshot.collect ~epoch:1 ~proc:"qsort" p m.Migration.ti in
+      Snapshot.persist st mf chunks stats;
+      Fmt.pr "checkpoint committed: epoch 1, %d chunks, %d bytes written@."
+        stats.Cstats.d_chunks_shipped stats.Cstats.d_delta_bytes;
       Fmt.pr "@.decoded image (first lines):@.";
-      let data =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let image = Snapshot.materialize ~ti:m.Migration.ti ~lookup:(Store.get_chunk st) mf in
       let buf = Buffer.create 4096 in
       let ppf = Format.formatter_of_buffer buf in
-      ignore (Inspect.dump ~ppf m.Migration.prog m.Migration.ti data);
+      ignore (Inspect.dump ~ppf m.Migration.prog m.Migration.ti image);
       Format.pp_print_flush ppf ();
       String.split_on_char '\n' (Buffer.contents buf)
       |> List.filteri (fun i _ -> i < 8)
       |> List.iter (Fmt.pr "  %s@.");
       Fmt.pr "  ...@.@.";
-      let on_sparc = Checkpoint.resume_and_finish m Hpm_arch.Arch.sparc20 path in
-      Fmt.pr "restarted on sparc20 (big-endian):    %s@."
-        (if String.equal expected (before ^ on_sparc) then "completed, output MATCHES"
-         else "OUTPUT DIFFERS");
-      let on_x86 = Checkpoint.resume_and_finish m Hpm_arch.Arch.x86_64 path in
-      Fmt.pr "restarted on x86_64 (LP64):           %s@."
-        (if String.equal expected (before ^ on_x86) then "completed, output MATCHES"
-         else "OUTPUT DIFFERS"))
+      let resume arch =
+        match Snapshot.restore_latest m arch st ~proc:"qsort" with
+        | None -> failwith "no recoverable checkpoint in the store"
+        | Some (q, _, _) -> (
+            match Interp.run q with
+            | Interp.RDone _ -> Interp.output q
+            | Interp.RPolled _ | Interp.RFuel -> failwith "restart did not run to completion")
+      in
+      let verdict out =
+        if String.equal expected (before ^ out) then "completed, output MATCHES"
+        else "OUTPUT DIFFERS"
+      in
+      Fmt.pr "restarted on sparc20 (big-endian):    %s@." (verdict (resume Hpm_arch.Arch.sparc20));
+      Fmt.pr "restarted on x86_64 (LP64):           %s@." (verdict (resume Hpm_arch.Arch.x86_64)))

@@ -61,7 +61,7 @@ let prepare ?(strategy = Pollpoint.default_strategy) ?(lint = true) ?require_com
   let prog, user_polls = Compile.lower ast in
   let polls = Pollpoint.insert prog user_polls strategy in
   let diags =
-    if lint then diags @ Diag.reject_on_errors (Lint.check_ir prog)
+    if lint then diags @ Diag.reject_on_errors (Lint.check_ir prog polls)
     else diags
   in
   let diags =
@@ -74,7 +74,7 @@ let prepare ?(strategy = Pollpoint.default_strategy) ?(lint = true) ?require_com
         in
         diags @ Diag.reject_on_errors pair_diags
   in
-  let ti = Ti.build prog in
+  let ti = Ti.build prog polls in
   { source; ast; prog; polls; ti; diags }
 
 (** Like {!prepare} but without any poll-point insertion or block-table
@@ -91,23 +91,27 @@ type migration_report = {
   stream_bytes : int;
   collect_stats : Cstats.collect;
   restore_stats : Cstats.restore;
+  verify : Verify.report;  (** the restored image's integrity check *)
   src_arch : string;
   dst_arch : string;
 }
 
 let pp_report ppf r =
-  Fmt.pf ppf "migration %s -> %s at poll #%d: %d bytes@.  %a@.  %a" r.src_arch
+  Fmt.pf ppf "migration %s -> %s at poll #%d: %d bytes@.  %a@.  %a@.  %a" r.src_arch
     r.dst_arch r.poll_id r.stream_bytes Cstats.pp_collect r.collect_stats
-    Cstats.pp_restore r.restore_stats
+    Cstats.pp_restore r.restore_stats Verify.pp_report r.verify
 
 (** Migrate a process suspended at a poll-point ({!Interp.run} returned
-    [RPolled]) to a fresh process on [dst_arch].  The source process is
-    dead afterwards (its memory is untouched, but, per §2, the migrating
-    process terminates after transmission). *)
+    [RPolled]) to a fresh process on [dst_arch], and verify the restored
+    image as {!Handoff.execute} does before it commits.  The source
+    process is dead afterwards (its memory is untouched, but, per §2, the
+    migrating process terminates after transmission).
+    @raise Verify.Violation when the restored image breaks an invariant *)
 let migrate (m : migratable) (src : Interp.t) (dst_arch : Arch.t) :
     Interp.t * migration_report =
   let data, collect_stats = Collect.collect src m.ti in
   let dst, restore_stats = Restore.restore m.prog dst_arch m.ti data in
+  let verify = Verify.check dst m.ti in
   let header = Stream.get_header (Xdr.reader_of_string data) in
   ( dst,
     {
@@ -115,6 +119,7 @@ let migrate (m : migratable) (src : Interp.t) (dst_arch : Arch.t) :
       stream_bytes = String.length data;
       collect_stats;
       restore_stats;
+      verify;
       src_arch = src.Interp.arch.Arch.name;
       dst_arch = dst_arch.Arch.name;
     } )

@@ -133,6 +133,14 @@ let restore_variable ctx (expected : Mem.block) name =
         addr expected.Mem.base
   | _ -> error "variable %s restored to a non-address" name
 
+(** @raise Error when an image fingerprinted [prog_hash] was produced by
+    another program than the one [ti] describes. *)
+let check_fingerprint (ti : Ti.t) (prog_hash : int64) : unit =
+  if not (Int64.equal prog_hash ti.Ti.fingerprint) then
+    error
+      "program fingerprint mismatch: the stream was produced by a different \
+       migratable program"
+
 (** Rebuild a full process on [arch] from a migration stream.  The
     returned interpreter is ready to [run]: it resumes right after the
     poll-point where the source was suspended.  [expect_epoch] asserts the
@@ -152,10 +160,7 @@ let restore ?expect_epoch (prog : Ir.prog) (arch : Hpm_arch.Arch.t) (ti : Ti.t)
   let header =
     try Stream.get_header r with Stream.Corrupt m -> error "bad header: %s" m
   in
-  if not (Int64.equal header.Stream.prog_hash ti.Ti.fingerprint) then
-    error
-      "program fingerprint mismatch: the stream was produced by a different \
-       migratable program";
+  check_fingerprint ti header.Stream.prog_hash;
   (match expect_epoch with
   | Some e when e <> header.Stream.epoch ->
       error "epoch mismatch: stream carries epoch %d, expected %d" header.Stream.epoch e

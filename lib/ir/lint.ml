@@ -377,9 +377,9 @@ let loc_at (fn : Ir.func) ~block ~index : Ast.loc =
 (* The checks                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let check_fn (prog : Ir.prog) (may : SS.t) ~any_poll (fn : Ir.func) :
-    Diag.t list =
-  let live = Liveness.analyze fn in
+let check_fn (prog : Ir.prog) (polls : Pollpoint.table) (may : SS.t) ~any_poll
+    (fn : Ir.func) : Diag.t list =
+  let live = Pollpoint.live polls fn in
   let uninit = UninitFlow.solve fn in
   let pstate = PtrFlow.solve fn in
   let reads = ReadFlow.solve fn in
@@ -490,13 +490,14 @@ let check_fn (prog : Ir.prog) (may : SS.t) ~any_poll (fn : Ir.func) :
     fn.Ir.blocks;
   List.rev !acc
 
-(** Run all flow-sensitive checks on a lowered program (normally after
-    poll-point insertion; with no polls anywhere, only the double-free
-    and dead-store checks can fire).  Result is location-sorted. *)
-let check_ir (prog : Ir.prog) : Diag.t list =
+(** Run all flow-sensitive checks on a lowered program after poll-point
+    insertion, reading each function's liveness from [polls] (with no
+    polls anywhere, only the double-free and dead-store checks can
+    fire).  Result is location-sorted. *)
+let check_ir (prog : Ir.prog) (polls : Pollpoint.table) : Diag.t list =
   let may = may_poll_funcs prog in
   let any_poll = List.exists has_poll prog.Ir.funcs in
-  Diag.sort (List.concat_map (check_fn prog may ~any_poll) prog.Ir.funcs)
+  Diag.sort (List.concat_map (check_fn prog polls may ~any_poll) prog.Ir.funcs)
 
 (* ------------------------------------------------------------------ *)
 (* Migration-footprint report                                          *)
@@ -579,7 +580,7 @@ let analyze_source ?(strategy = Pollpoint.default_strategy) (source : string) :
   else
     let prog, user_polls = Compile.lower ast in
     let polls = Pollpoint.insert prog user_polls strategy in
-    { a_prog = Some (prog, polls); a_diags = Diag.sort (unsafe @ check_ir prog) }
+    { a_prog = Some (prog, polls); a_diags = Diag.sort (unsafe @ check_ir prog polls) }
 
 (** Machine-readable lint report: {!Diag.to_json} plus, optionally, the
     per-poll footprint. *)

@@ -63,7 +63,18 @@ type info = {
 type table = {
   polls : info list;
   strategy : strategy;
+  live : (string, Liveness.t) Hashtbl.t;
+      (** each function's liveness on the post-insertion IR, by name:
+          computed once here, read by every later pass *)
 }
+
+(** The liveness of one of the program's functions.
+    @raise Invalid_argument when the program has no function of that
+    name. *)
+let live t (f : Ir.func) : Liveness.t =
+  match Hashtbl.find_opt t.live f.Ir.name with
+  | Some l -> l
+  | None -> invalid_arg (Printf.sprintf "Pollpoint.live: no function %s" f.Ir.name)
 
 let find t id = List.find_opt (fun p -> p.id = id) t.polls
 
@@ -92,7 +103,8 @@ let insert_at_head (b : Ir.block) (ins : Ir.instr) =
   b.Ir.locs <- Array.append [| loc |] b.Ir.locs
 
 (** Insert poll-points per [strategy] into [prog] (mutating block
-    instruction arrays), then run liveness and build the poll table.
+    instruction arrays), then run liveness once per function and build
+    the poll table.
     [user_polls] are the (id, name) pairs returned by {!Compile.lower};
     automatic polls get fresh ids above them. *)
 let insert (prog : Ir.prog) (user_polls : (int * string) list) (strategy : strategy) : table
@@ -134,9 +146,11 @@ let insert (prog : Ir.prog) (user_polls : (int * string) list) (strategy : strat
     prog.Ir.funcs;
   (* 2. build the table with live sets *)
   let polls = ref [] in
+  let lives = Hashtbl.create (List.length prog.Ir.funcs) in
   List.iter
     (fun (f : Ir.func) ->
       let live = Liveness.analyze f in
+      Hashtbl.replace lives f.Ir.name live;
       Array.iteri
         (fun bi (b : Ir.block) ->
           Array.iteri
@@ -167,7 +181,7 @@ let insert (prog : Ir.prog) (user_polls : (int * string) list) (strategy : strat
             b.Ir.instrs)
         f.Ir.blocks)
     prog.Ir.funcs;
-  { polls = List.sort (fun a b -> compare a.id b.id) !polls; strategy }
+  { polls = List.sort (fun a b -> compare a.id b.id) !polls; strategy; live = lives }
 
 (** Number of poll-points in each function, for reports. *)
 let per_function t =

@@ -783,7 +783,7 @@ let summarize (prog : Ir.prog) (table : Pollpoint.table) (cfg : config) :
   let a_longs = ref [] and a_chars = ref [] and a_doubles = ref [] and a_tys = ref SS.empty in
   List.iter
     (fun (fn : Ir.func) ->
-      let live = lazy (Liveness.analyze fn) in
+      let live = Pollpoint.live table fn in
       Array.iteri
         (fun bi (b : Ir.block) ->
           Array.iteri
@@ -796,7 +796,7 @@ let summarize (prog : Ir.prog) (table : Pollpoint.table) (cfg : config) :
                      | Ir.Cbuiltin _ -> false) ->
                   let lv =
                     Liveness.to_sorted_list
-                      (Liveness.live_suspended_call (Lazy.force live) ~block:bi
+                      (Liveness.live_suspended_call live ~block:bi
                          ~index:ii)
                   in
                   (* facts after the call: the callee may rewrite

@@ -117,7 +117,7 @@ let fingerprint_of (prog : Ir.prog) : int64 =
     s;
   !h
 
-let build (prog : Ir.prog) : t =
+let build (prog : Ir.prog) (polls : Hpm_ir.Pollpoint.table) : t =
   let tys = collect_types prog in
   let entries =
     Array.of_list
@@ -134,15 +134,13 @@ let build (prog : Ir.prog) : t =
   in
   let by_ty = Hashtbl.create (Array.length entries) in
   Array.iter (fun e -> Hashtbl.replace by_ty e.ty e) entries;
-  let live = Hashtbl.create (List.length prog.Ir.funcs) in
-  List.iter (fun (f : Ir.func) -> Hashtbl.replace live f.Ir.name (Liveness.analyze f)) prog.Ir.funcs;
   {
     prog;
     tenv = prog.Ir.tenv;
     entries;
     by_ty;
     fingerprint = fingerprint_of prog;
-    live;
+    live = polls.Hpm_ir.Pollpoint.live;
     attached = [];
   }
 

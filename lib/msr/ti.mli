@@ -6,7 +6,7 @@
     built lazily and attached to this table, are the moral equivalent of
     the paper's generated per-type saving/restoring functions.  The
     table also holds the program's other per-program constants, computed
-    once by {!build}: its fingerprint and each function's liveness. *)
+    once: its fingerprint and each function's liveness. *)
 
 open Hpm_lang
 
@@ -39,9 +39,10 @@ type t = {
 (** Build the table for a lowered program, after poll-point insertion:
     scalars first (stable primitive ids), then struct definitions,
     globals, string-literal arrays, and function-local/malloc types in
-    program order.  Also computes the fingerprint and every function's
-    liveness, once. *)
-val build : Hpm_ir.Ir.prog -> t
+    program order.  Also computes the fingerprint, once, and keeps every
+    function's liveness from the poll table [polls] that insertion
+    produced. *)
+val build : Hpm_ir.Ir.prog -> Hpm_ir.Pollpoint.table -> t
 
 (** The liveness of one of the program's functions.
     @raise Invalid_argument when the program has no function of that

@@ -53,31 +53,11 @@ type config = {
   c_procs : int;
   c_seed : int;
   c_sites : int;              (** nodes striped across this many sites *)
-  c_speeds : float list;      (** node speeds, cycled by node id *)
-  c_mean_work_s : float;      (** mean process work at speed 1.0 (±50%) *)
-  c_state_bytes_min : int;
-  c_state_bytes_max : int;
-  c_hot_frac : float;         (** all processes spawn on this fraction of
-                                  nodes — the imbalance churn must drain *)
-  c_poll_every_s : float;     (** poll-point grid (migration notice latency) *)
-  c_policy_every_s : float;   (** placement policy cadence *)
   c_max_moves : int;          (** moves one policy round may request *)
   c_cooldown_s : float;       (** anti-flap hysteresis window *)
   c_gang_groups : int;        (** process groups that must move as one *)
   c_gang_size : int;
   c_crash_nodes : int;        (** nodes that crash during the run *)
-  c_crash_from_s : float;
-  c_crash_window_s : float;
-  c_restart_delay_s : float;  (** crash-victim recovery delay *)
-  c_ckpt_work_s : float;      (** implicit checkpoint granularity, in
-                                  work-seconds: recovery replays at most
-                                  this much re-execution *)
-  c_collect_bps : float;      (** state collection rate, bytes/s *)
-  c_restore_bps : float;      (** state restoration rate, bytes/s *)
-  c_bw_bps : float;           (** transfer bandwidth, bytes/s *)
-  c_latency_s : float;        (** per-transfer latency floor *)
-  c_jitter_s : float;         (** max seeded uniform extra transfer latency *)
-  c_max_sim_s : float;        (** hard stop for the simulated clock *)
 }
 
 (** The standing churn scenario: 1000 nodes / 10k processes, everything
@@ -90,29 +70,38 @@ let default_churn : config =
     c_procs = 10_000;
     c_seed = 42;
     c_sites = 10;
-    c_speeds = [ 1.0; 1.5; 0.75; 2.0 ];
-    c_mean_work_s = 30.0;
-    c_state_bytes_min = 64 * 1024;
-    c_state_bytes_max = 1024 * 1024;
-    c_hot_frac = 0.1;
-    c_poll_every_s = 0.05;
-    c_policy_every_s = 0.25;
     c_max_moves = 150;
     c_cooldown_s = 1.0;
     c_gang_groups = 20;
     c_gang_size = 5;
     c_crash_nodes = 10;
-    c_crash_from_s = 2.0;
-    c_crash_window_s = 10.0;
-    c_restart_delay_s = 0.5;
-    c_ckpt_work_s = 1.0;
-    c_collect_bps = 400e6;
-    c_restore_bps = 300e6;
-    c_bw_bps = 1e9;
-    c_latency_s = 2e-3;
-    c_jitter_s = 5e-3;
-    c_max_sim_s = 600.0;
   }
+
+(* The fleet's fixed model: workload shape, cadences, crash timing and
+   the data-plane rates every migration is costed at. *)
+let speeds = [| 1.0; 1.5; 0.75; 2.0 |]  (* node speeds, cycled by node id *)
+let mean_work_s = 30.0  (* mean process work at speed 1.0 (±50%) *)
+let state_bytes_min = 64 * 1024
+let state_bytes_max = 1024 * 1024
+
+(* all processes spawn on this fraction of nodes — the imbalance churn
+   must drain *)
+let hot_frac = 0.1
+let poll_every_s = 0.05  (* poll-point grid (migration notice latency) *)
+let policy_every_s = 0.25  (* placement policy cadence *)
+let crash_from_s = 2.0
+let crash_window_s = 10.0
+let restart_delay_s = 0.5  (* crash-victim recovery delay *)
+
+(* implicit checkpoint granularity, in work-seconds: recovery replays at
+   most this much re-execution *)
+let ckpt_work_s = 1.0
+let collect_bps = 400e6  (* state collection rate, bytes/s *)
+let restore_bps = 300e6  (* state restoration rate, bytes/s *)
+let bw_bps = 1e9  (* transfer bandwidth, bytes/s *)
+let latency_s = 2e-3  (* per-transfer latency floor *)
+let jitter_s = 5e-3  (* max seeded uniform extra transfer latency *)
+let max_sim_s = 600.0  (* hard stop for the simulated clock *)
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -172,7 +161,6 @@ type ev =
   | Ev_policy
 
 type t = {
-  cfg : config;
   policy : Policy.t;
   cnodes : cnode array;
   cprocs : cproc array;
@@ -293,8 +281,8 @@ let pick_node t ~(avoid : int list) : cnode option =
 (* ------------------------------------------------------------------ *)
 
 let next_poll_s t =
-  let k = int_of_float (t.now /. t.cfg.c_poll_every_s) in
-  float_of_int (k + 1) *. t.cfg.c_poll_every_s
+  let k = int_of_float (t.now /. poll_every_s) in
+  float_of_int (k + 1) *. poll_every_s
 
 (* All members are suspended: cost the collect/transfer/restore chain
    and schedule the single commit that lands the whole migration. *)
@@ -312,16 +300,16 @@ let begin_transfer t (m : cmig) =
   (* members collect/restore in parallel on distinct hosts; the wire is
      shared, so transfer time is the summed bytes *)
   let collect_s =
-    max_member (fun p -> float_of_int p.cp_state_bytes /. t.cfg.c_collect_bps)
+    max_member (fun p -> float_of_int p.cp_state_bytes /. collect_bps)
   in
   let restore_s =
-    max_member (fun p -> float_of_int p.cp_state_bytes /. t.cfg.c_restore_bps)
+    max_member (fun p -> float_of_int p.cp_state_bytes /. restore_bps)
   in
   let jitter =
-    t.cfg.c_jitter_s *. float_of_int (Rng.next_int t.rng mod 1000) /. 1000.0
+    jitter_s *. float_of_int (Rng.next_int t.rng mod 1000) /. 1000.0
   in
   let transfer_s =
-    (float_of_int bytes /. t.cfg.c_bw_bps) +. t.cfg.c_latency_s +. jitter
+    (float_of_int bytes /. bw_bps) +. latency_s +. jitter
   in
   m.m_transfer_done_s <- t.now +. collect_s +. transfer_s;
   schedule t
@@ -359,10 +347,10 @@ let abort_mig t (m : cmig) ~reason =
             p.cp_suspended <- false;
             p.cp_down <- true;
             p.cp_done_s <-
-              Float.of_int (int_of_float (p.cp_done_s /. t.cfg.c_ckpt_work_s))
-              *. t.cfg.c_ckpt_work_s;
+              Float.of_int (int_of_float (p.cp_done_s /. ckpt_work_s))
+              *. ckpt_work_s;
             schedule t
-              ~time:(t.now +. t.cfg.c_restart_delay_s)
+              ~time:(t.now +. restart_delay_s)
               (Ev_recover pid)
           end)
       m.m_members
@@ -395,7 +383,7 @@ let requeue_mig t (m : cmig) ~dead =
         m.m_members;
       if m.m_begun then begin
         let transfer_s =
-          (float_of_int bytes /. t.cfg.c_bw_bps) +. t.cfg.c_latency_s
+          (float_of_int bytes /. bw_bps) +. latency_s
         in
         m.m_transfer_done_s <- t.now +. transfer_s;
         schedule t
@@ -663,10 +651,10 @@ let handle t = function
                   p.cp_mig <- None
               | None -> ());
               p.cp_done_s <-
-                Float.of_int (int_of_float (p.cp_done_s /. t.cfg.c_ckpt_work_s))
-                *. t.cfg.c_ckpt_work_s;
+                Float.of_int (int_of_float (p.cp_done_s /. ckpt_work_s))
+                *. ckpt_work_s;
               schedule t
-                ~time:(t.now +. t.cfg.c_restart_delay_s)
+                ~time:(t.now +. restart_delay_s)
                 (Ev_recover pid)
             end)
           victims
@@ -677,7 +665,7 @@ let handle t = function
         match pick_node t ~avoid:[] with
         | None -> (* no live node at all: retry after another delay *)
             schedule t
-              ~time:(t.now +. t.cfg.c_restart_delay_s)
+              ~time:(t.now +. restart_delay_s)
               (Ev_recover pid)
         | Some target ->
             p.cp_epoch <- p.cp_epoch + 1;
@@ -696,7 +684,7 @@ let handle t = function
       if t.finished < Array.length t.cprocs then begin
         start_migrations t
           (Policy.decide t.policy ~now:t.now (node_view t) (proc_view t));
-        schedule t ~time:(t.now +. t.cfg.c_policy_every_s) Ev_policy
+        schedule t ~time:(t.now +. policy_every_s) Ev_policy
       end
 
 (* ------------------------------------------------------------------ *)
@@ -705,14 +693,7 @@ let handle t = function
 
 let validate (c : config) =
   if c.c_nodes < 2 then invalid_arg "Cluster: need at least 2 nodes";
-  if c.c_procs < 1 then invalid_arg "Cluster: need at least 1 process";
-  if c.c_speeds = [] then invalid_arg "Cluster: need at least one speed class";
-  if c.c_poll_every_s <= 0.0 || c.c_policy_every_s <= 0.0 then
-    invalid_arg "Cluster: poll/policy cadence must be positive";
-  if c.c_ckpt_work_s <= 0.0 then
-    invalid_arg "Cluster: ckpt_work_s must be positive";
-  if c.c_state_bytes_max < c.c_state_bytes_min then
-    invalid_arg "Cluster: state_bytes_max < state_bytes_min"
+  if c.c_procs < 1 then invalid_arg "Cluster: need at least 1 process"
 
 let create ?journal ?policy (c : config) : t =
   validate c;
@@ -724,7 +705,6 @@ let create ?journal ?policy (c : config) : t =
           (Policy.gang (Policy.least_loaded ~max_moves:c.c_max_moves ()))
   in
   let rng = Rng.create c.c_seed in
-  let speeds = Array.of_list c.c_speeds in
   let cnodes =
     Array.init c.c_nodes (fun i ->
         {
@@ -736,15 +716,15 @@ let create ?journal ?policy (c : config) : t =
           cn_running = ISet.empty;
         })
   in
-  let span = c.c_state_bytes_max - c.c_state_bytes_min + 1 in
-  let hot = max 1 (int_of_float (float_of_int c.c_nodes *. c.c_hot_frac)) in
+  let span = state_bytes_max - state_bytes_min + 1 in
+  let hot = max 1 (int_of_float (float_of_int c.c_nodes *. hot_frac)) in
   let cprocs =
     Array.init c.c_procs (fun i ->
         let work =
-          c.c_mean_work_s
+          mean_work_s
           *. (0.5 +. (float_of_int (Rng.next_int rng mod 1000) /. 1000.0))
         in
-        let bytes = c.c_state_bytes_min + (Rng.next_int rng mod span) in
+        let bytes = state_bytes_min + (Rng.next_int rng mod span) in
         let group =
           if i < c.c_gang_groups * c.c_gang_size then
             Printf.sprintf "g%03d" (i / max 1 c.c_gang_size)
@@ -772,7 +752,6 @@ let create ?journal ?policy (c : config) : t =
   in
   let t =
     {
-      cfg = c;
       policy;
       cnodes;
       cprocs;
@@ -814,8 +793,8 @@ let create ?journal ?policy (c : config) : t =
     if not (Hashtbl.mem crashed nid) then begin
       Hashtbl.replace crashed nid ();
       let at =
-        c.c_crash_from_s
-        +. c.c_crash_window_s
+        crash_from_s
+        +. crash_window_s
            *. float_of_int (Rng.next_int rng mod 1000)
            /. 1000.0
       in
@@ -823,11 +802,11 @@ let create ?journal ?policy (c : config) : t =
       incr planned
     end
   done;
-  schedule t ~time:c.c_policy_every_s Ev_policy;
+  schedule t ~time:policy_every_s Ev_policy;
   t
 
 (** Run the scenario to completion (every process finished), the event
-    heap draining dry, or the [c_max_sim_s] horizon — whichever first.
+    heap draining dry, or the [max_sim_s] horizon — whichever first.
     Returns the same [t] for inspection. *)
 let run (t : t) : t =
   let continue = ref true in
@@ -837,7 +816,7 @@ let run (t : t) : t =
       match Eheap.pop t.heap with
       | None -> continue := false
       | Some (time, _, ev) ->
-          if time > t.cfg.c_max_sim_s then continue := false
+          if time > max_sim_s then continue := false
           else begin
             t.now <- time;
             if Hpm_obs.Obs.on () then Hpm_obs.Obs.set_now time;

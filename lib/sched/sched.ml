@@ -133,14 +133,18 @@ type event =
   | Standby_lost of float * string * string       (* time, proc, standby node *)
   | Resynced of float * string * string * int     (* time, proc, standby, epoch *)
 
+(* One simulation tick, in simulated seconds. *)
+let quantum_s = 0.01
+
+(* Instructions per simulated second at speed 1.0. *)
+let base_ips = 1e6
+
 type t = {
   nodes : node list;
   by_name : (string, node) Hashtbl.t;
       (** name → node; {!node_named} used to scan [nodes] linearly *)
   channel : Netsim.t;
   handoff : Handoff.config;
-  quantum_s : float;
-  base_ips : float;            (** instructions/simulated-second at speed 1.0 *)
   compat : (Migration.migratable -> src:Arch.t -> dst:Arch.t -> bool) option;
       (** placement gate: when set, {!request_migration} refuses pairs
           the predicate rejects (see {!Hpm_core.Compat.ok}) *)
@@ -160,14 +164,9 @@ type t = {
 
 and action = t -> unit
 
-let create ?(quantum_s = 0.01) ?(base_ips = 1e6)
-    ?(transport = Transport.default_config) ?handoff ?store ?ckpt_every_s ?precopy
+let create ?(transport = Transport.default_config) ?store ?ckpt_every_s ?precopy
     ?compat ?journal ~channel nodes =
-  let handoff =
-    match handoff with
-    | Some h -> h
-    | None -> { Handoff.default_config with Handoff.transport }
-  in
+  let handoff = { Handoff.default_config with Handoff.transport } in
   (match ckpt_every_s with
   | Some d when d <= 0.0 -> invalid_arg "Sched.create: ckpt_every_s must be positive"
   | _ -> ());
@@ -187,8 +186,6 @@ let create ?(quantum_s = 0.01) ?(base_ips = 1e6)
     by_name;
     channel;
     handoff;
-    quantum_s;
-    base_ips;
     compat;
     store;
     ckpt_every_s;
@@ -661,7 +658,7 @@ let tick t =
           let share = max 1 p.p_node.n_procs in
           let fuel =
             int_of_float
-              (t.base_ips *. p.p_node.n_arch.Arch.speed *. t.quantum_s
+              (base_ips *. p.p_node.n_arch.Arch.speed *. quantum_s
               /. float_of_int share)
           in
           p.p_node.n_instrs <- p.p_node.n_instrs + fuel;
@@ -675,7 +672,7 @@ let tick t =
                   Interp.clear_migration_request p.p_interp;
                   if p.p_ckpt_pending then checkpoint_now t p)))
     t.procs;
-  t.now <- t.now +. t.quantum_s
+  t.now <- t.now +. quantum_s
 
 let all_finished t =
   Vec.for_all (fun p -> match p.p_state with Finished _ -> true | _ -> false) t.procs

@@ -295,9 +295,12 @@ let persist (st : Store.t) (mf : Store.manifest) (chunks : (string, string) Hash
   stats.Cstats.d_delta_bytes <-
     stats.Cstats.d_delta_bytes + String.length (Store.serialize_manifest mf)
 
-(** Materialize [mf] and restore it on [arch] via the stock v2 path. *)
+(** Materialize [mf] and restore it on [arch] via the stock v2 path.
+    Another program's manifest is refused before any chunk is decoded
+    against the wrong types. *)
 let restore_manifest (m : Migration.migratable) (arch : Hpm_arch.Arch.t)
     ~(lookup : string -> string) (mf : Store.manifest) : Interp.t * Cstats.restore =
+  Restore.check_fingerprint m.Migration.ti mf.Store.mf_prog_hash;
   let stream = materialize ~ti:m.Migration.ti ~lookup mf in
   Restore.restore ~expect_epoch:mf.Store.mf_epoch m.Migration.prog arch m.Migration.ti stream
 

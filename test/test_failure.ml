@@ -210,6 +210,36 @@ let test_netsim_fault_injection_path () =
   let delivered2, _ = Hpm_net.Netsim.send ch data in
   check_bool "clean delivery restores" false (restore_raises m delivered2)
 
+let test_prefix_fuzz () =
+  (* exhaustive truncation sweep: EVERY prefix of a process image either
+     restores fully (the whole image) or raises a typed error — never a
+     crash, and never a silently partial process *)
+  let m = prepare (Hpm_workloads.Nqueens.source 5) in
+  let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
+  let p, _ = suspend m Hpm_arch.Arch.dec5000 5 in
+  let before = Hpm_machine.Interp.output p in
+  let data, _ = Collect.collect p m.Migration.ti in
+  let n = String.length data in
+  let restore s = Restore.restore m.Migration.prog Hpm_arch.Arch.sparc20 m.Migration.ti s in
+  (* every prefix when the image is small; stride-with-boundaries
+     otherwise (all tail positions, where truncation is subtlest) *)
+  let cuts =
+    if n <= 1500 then List.init n Fun.id
+    else List.init (n / 3) (fun i -> i * 3) @ List.init (min 64 n) (fun i -> n - 1 - i)
+  in
+  List.iter
+    (fun k ->
+      match restore (String.sub data 0 k) with
+      | _ -> Alcotest.failf "prefix of %d/%d bytes restored successfully" k n
+      | exception (Restore.Error _ | Stream.Corrupt _ | Hpm_xdr.Xdr.Underflow _) -> ()
+      | exception e ->
+          Alcotest.failf "prefix of %d/%d bytes: untyped exception %s" k n
+            (Printexc.to_string e))
+    cuts;
+  (* and the whole image still restores to a correct process *)
+  let q, _ = restore data in
+  check_string "whole image restores" expected (finish_output before q)
+
 let suite =
   [
     tc "truncated streams rejected" test_truncation;
@@ -224,4 +254,5 @@ let suite =
     tc "dead dangling pointer tolerated" test_dead_dangling_pointer_ok;
     tc "faults injected on the wire" test_netsim_fault_injection_path;
     tc "frame count above its bound rejected" test_frame_count_bound;
+    tc_slow "truncation fuzz: every prefix rejected cleanly" test_prefix_fuzz;
   ]

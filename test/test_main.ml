@@ -30,7 +30,6 @@ let () =
       ("matrix", Test_matrix.suite);
       ("failure-injection", Test_failure.suite);
       ("transport", Test_transport.suite);
-      ("checkpoint", Test_checkpoint.suite);
       ("handoff", Test_handoff.suite);
       ("inspect", Test_inspect.suite);
       ("fuzz", Test_fuzz.suite);

@@ -261,6 +261,32 @@ let prop_chaos =
         [ (Hpm_arch.Arch.dec5000, Hpm_arch.Arch.sparc20);
           (Hpm_arch.Arch.sparc20, Hpm_arch.Arch.i386) ])
 
+let test_verify_matches_handoff () =
+  (* the reference pipeline verifies the restored image exactly as the
+     two-phase handoff does before it commits *)
+  List.iter
+    (fun (name, n, src_arch, dst_arch, after) ->
+      let m = prepare ((Hpm_workloads.Registry.find_exn name).Hpm_workloads.Registry.source n) in
+      let p, _ = suspend m src_arch after in
+      let _, report = Migration.migrate m p dst_arch in
+      let q, _ = suspend m src_arch after in
+      match
+        (Handoff.execute ~channel:(Hpm_net.Netsim.ethernet_10 ()) ~epoch:1 m q dst_arch)
+          .Handoff.outcome
+      with
+      | Handoff.Committed c ->
+          check_bool
+            (Printf.sprintf "%s: same verify report as the handoff" name)
+            true (report.Migration.verify = c.Handoff.c_verify);
+          check_bool (name ^ ": pointers checked") true
+            (report.Migration.verify.Verify.v_pointers > 0)
+      | o -> Alcotest.failf "%s: clean handoff did not commit (%s)" name (Handoff.outcome_name o))
+    [
+      ("bitonic", 200, Hpm_arch.Arch.dec5000, Hpm_arch.Arch.sparc20, 300);
+      ("hashtab", 60, Hpm_arch.Arch.sparc20, Hpm_arch.Arch.x86_64, 1);
+      ("test_pointer", 0, Hpm_arch.Arch.x86_64, Hpm_arch.Arch.i386, 2);
+    ]
+
 let suite =
   [
     tc_slow "all workloads: same-width equivalence" test_same_width_all_workloads;
@@ -272,5 +298,6 @@ let suite =
     tc "migration in deep recursion" test_migration_in_deep_recursion;
     tc "wrong program rejected" test_wrong_program_rejected;
     tc "homogeneous migration (Table 1 setting)" test_homogeneous_migration;
+    tc "restored image verified as by the handoff" test_verify_matches_handoff;
     prop_chaos;
   ]

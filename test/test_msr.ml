@@ -10,6 +10,10 @@ let prog_of src =
   let ast = check_src src in
   fst (Compile.lower ast)
 
+(* The TI table of a program with user polls only (none in these). *)
+let ti_of prog =
+  Ti.build prog (Hpm_ir.Pollpoint.insert prog [] Hpm_ir.Pollpoint.user_only_strategy)
+
 let tree_src =
   {|
 struct node { float data; struct node *link; };
@@ -29,7 +33,7 @@ int main() {
 
 let test_ti_contents () =
   let prog = prog_of tree_src in
-  let ti = Ti.build prog in
+  let ti = ti_of prog in
   check_bool "int present" true (Ti.find ti Ty.Int <> None);
   check_bool "struct present" true (Ti.find ti (Ty.Struct "node") <> None);
   check_bool "ptr present" true (Ti.find ti (Ty.Ptr (Ty.Struct "node")) <> None);
@@ -43,7 +47,7 @@ let test_ti_contents () =
 
 let test_ti_deterministic () =
   let p1 = prog_of tree_src and p2 = prog_of tree_src in
-  let t1 = Ti.build p1 and t2 = Ti.build p2 in
+  let t1 = ti_of p1 and t2 = ti_of p2 in
   check_int "same count" (Ti.entry_count t1) (Ti.entry_count t2);
   for i = 0 to Ti.entry_count t1 - 1 do
     check_string "same key" (Ti.by_tid t1 i).Ti.key (Ti.by_tid t2 i).Ti.key
@@ -51,15 +55,15 @@ let test_ti_deterministic () =
 
 let test_ti_primitive_ids_stable () =
   (* primitive tids do not depend on the program *)
-  let t1 = Ti.build (prog_of tree_src) in
-  let t2 = Ti.build (prog_of "int main() { return 0; }") in
+  let t1 = ti_of (prog_of tree_src) in
+  let t2 = ti_of (prog_of "int main() { return 0; }") in
   List.iter
     (fun ty ->
       check_int (Ty.to_string ty) (Ti.find_exn t1 ty).Ti.tid (Ti.find_exn t2 ty).Ti.tid)
     [ Ty.Char; Ty.Short; Ty.Int; Ty.Long; Ty.Float; Ty.Double ]
 
 let test_block_ty_codec () =
-  let ti = Ti.build (prog_of tree_src) in
+  let ti = ti_of (prog_of tree_src) in
   let roundtrip ty = Ti.decode_block_ty ti (Ti.encode_block_ty ti ty) in
   check_bool "scalar" true (Ty.equal (roundtrip Ty.Int) Ty.Int);
   check_bool "struct" true (Ty.equal (roundtrip (Ty.Struct "node")) (Ty.Struct "node"));

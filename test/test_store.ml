@@ -292,6 +292,84 @@ let delta_chain_prop =
               String.equal expected (prefix ^ out)))
 
 (* ---------------------------------------------------------------- *)
+(* Checkpoint / restart: save once on one arch, restart on others    *)
+(* ---------------------------------------------------------------- *)
+
+(* Run [m] on [arch], commit a snapshot of [proc] at the (k+1)-th poll
+   event into [st] and stop; the output printed before the checkpoint
+   and the collection statistics. *)
+let checkpoint st m arch ~after ~proc =
+  let p, _ = suspend m arch after in
+  let mf, chunks, stats = Snapshot.collect ~epoch:1 ~proc p m.Migration.ti in
+  Snapshot.persist st mf chunks stats;
+  (Interp.output p, mf, stats)
+
+(* Restart the newest committed epoch of [proc] on [arch] and run it to
+   completion; the output printed after the restart. *)
+let restart st m arch ~proc =
+  match Snapshot.restore_latest m arch st ~proc with
+  | None -> Alcotest.fail "restore_latest found nothing"
+  | Some (q, _, _) -> finish_output "" q
+
+let test_restart_heterogeneous () =
+  with_store (fun st ->
+      let m = prepare (Hpm_workloads.Bitonic.source 500) in
+      let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
+      (* save on a little-endian machine, resume on a big-endian one *)
+      let before, _, stats =
+        checkpoint st m Hpm_arch.Arch.dec5000 ~after:800 ~proc:"bitonic"
+      in
+      check_bool "checkpoint non-trivial" true (stats.Cstats.d_delta_bytes > 1000);
+      let after = restart st m Hpm_arch.Arch.sparc20 ~proc:"bitonic" in
+      check_string "resumed output completes the run" expected (before ^ after))
+
+let test_restart_twice () =
+  (* a committed epoch is immutable: it can restart any number of times,
+     on different machines *)
+  with_store (fun st ->
+      let m = prepare (Hpm_workloads.Nqueens.source 6) in
+      let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
+      let before, _, _ = checkpoint st m Hpm_arch.Arch.sparc20 ~after:50 ~proc:"q" in
+      let a = restart st m Hpm_arch.Arch.dec5000 ~proc:"q" in
+      let b = restart st m Hpm_arch.Arch.i386 ~proc:"q" in
+      check_string "first restart" expected (before ^ a);
+      check_string "second restart" expected (before ^ b))
+
+let test_restart_wrong_program () =
+  with_store (fun st ->
+      let m1 = prepare (Hpm_workloads.Nqueens.source 6) in
+      let m2 = prepare (Hpm_workloads.Bitonic.source 200) in
+      let _, mf, _ = checkpoint st m1 Hpm_arch.Arch.ultra5 ~after:10 ~proc:"q" in
+      expect_raise "another program's image rejected"
+        (function Restore.Error _ -> true | _ -> false)
+        (fun () ->
+          Snapshot.restore_manifest m2 Hpm_arch.Arch.ultra5 ~lookup:(Store.get_chunk st) mf);
+      check_bool "restore_latest finds nothing for another program" true
+        (Snapshot.restore_latest m2 Hpm_arch.Arch.ultra5 st ~proc:"q" = None))
+
+let test_restart_damaged_store () =
+  with_store (fun st ->
+      let m = prepare (Hpm_workloads.Nqueens.source 6) in
+      let _, mf, _ = checkpoint st m Hpm_arch.Arch.ultra5 ~after:10 ~proc:"q" in
+      (* truncate one chunk file to half its length *)
+      let path = Store.chunk_path st (List.hd (Store.manifest_hashes mf)) in
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub data 0 (String.length data / 2)));
+      expect_raise "damaged chunk rejected"
+        (function Store.Corrupt _ -> true | _ -> false)
+        (fun () ->
+          Snapshot.restore_manifest m Hpm_arch.Arch.ultra5 ~lookup:(Store.get_chunk st) mf);
+      check_bool "restore_latest skips the damaged epoch" true
+        (Snapshot.restore_latest m Hpm_arch.Arch.ultra5 st ~proc:"q" = None))
+
+let test_restart_no_manifest () =
+  with_store (fun st ->
+      let m = prepare (Hpm_workloads.Nqueens.source 6) in
+      check_bool "no manifest, nothing to restore" true
+        (Snapshot.restore_latest m Hpm_arch.Arch.ultra5 st ~proc:"q" = None))
+
+(* ---------------------------------------------------------------- *)
 (* Store mechanics: dedup, refcount, retain, GC                      *)
 (* ---------------------------------------------------------------- *)
 
@@ -491,7 +569,7 @@ let test_delta_missing_base_chunk () =
           check_int "delta applies once the chunk is back" 2
             (Store.apply dst ~expect_base:base wire).Store.mf_epoch))
 
-(* every-prefix truncation fuzz, in the style of test_checkpoint *)
+(* every-prefix truncation fuzz, in the style of test_failure's image fuzz *)
 let cuts n =
   if n <= 1500 then List.init n Fun.id
   else
@@ -680,6 +758,11 @@ let suite =
     tc "bit-identity along cached delta chains" test_identity_with_cache_chain;
     tc_slow "store round-trip preserves output (same-width pairs)" test_restore_equivalence;
     delta_chain_prop;
+    tc "restart: LE save, BE resume" test_restart_heterogeneous;
+    tc "restart: one save, N restarts" test_restart_twice;
+    tc "restart: other program refused" test_restart_wrong_program;
+    tc "restart: damaged store refused" test_restart_damaged_store;
+    tc "restart: no manifest, None" test_restart_no_manifest;
     tc "dedup and refcount across epochs" test_dedup_and_refcount;
     tc "gc never reclaims referenced chunks" test_gc_preserves_referenced;
     tc "gc ignores torn manifests" test_gc_ignores_torn_manifest;
