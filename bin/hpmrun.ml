@@ -331,6 +331,11 @@ let run file from_ to_ after report show_net loss corrupt
     | Some st when restore_store -> (
         (* resume the newest committed snapshot on --from *)
         let arch = Hpm_arch.Arch.by_name_exn from_ in
+        (* an edited program is refused by name, not as "no snapshot":
+           restore_latest skips every epoch it cannot restore *)
+        Option.iter
+          (fun mf -> Restore.check_fingerprint m.Migration.ti mf.Store.mf_prog_hash)
+          (Store.latest_manifest st ~proc);
         match Snapshot.restore_latest m arch st ~proc with
         | None ->
             Fmt.epr "hpmrun: no recoverable snapshot for %s in the store@." proc;

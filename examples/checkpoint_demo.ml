@@ -26,10 +26,14 @@ let rec rm_rf path =
 let () =
   let m = Migration.prepare (Hpm_workloads.Qsort.source 4_000) in
   let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
-  let dir = Filename.temp_dir "hpm_demo" ".store" in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hpm_demo_%d.store" (Unix.getpid ()))
+  in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
+      (* Store.open_store creates it *)
       let st = Store.open_store dir in
       Fmt.pr "running on dec5000, checkpointing into %s mid-build...@." dir;
       let p = Migration.start m Hpm_arch.Arch.dec5000 in

@@ -1,9 +1,9 @@
 (** Migration-stream inspector.
 
-    Decodes a stream (or checkpoint file) into a human-readable listing
-    without building a process: frames, every block with its identity,
-    type and mi_id, every pointer as (id, ordinal), and all scalar
-    payloads.  This is the debugging view of the wire format — when a
+    Decodes a stream (or a store image rebuilt by [Snapshot.materialize])
+    into a human-readable listing without building a process: frames,
+    every block with its identity, type and mi_id, every pointer as
+    (id, ordinal), and all scalar payloads.  This is the debugging view of the wire format — when a
     migration misbehaves, [migratec stream] shows exactly what was
     collected.
 

@@ -43,7 +43,7 @@ type t = {
   entries : entry array;
   by_ty : (Ty.t, entry) Hashtbl.t;
   fingerprint : int64;
-  live : (string, Liveness.t) Hashtbl.t;
+  polls : Pollpoint.table;
   mutable attached : (Hpm_arch.Arch.t * attached) list;
 }
 
@@ -140,14 +140,11 @@ let build (prog : Ir.prog) (polls : Hpm_ir.Pollpoint.table) : t =
     entries;
     by_ty;
     fingerprint = fingerprint_of prog;
-    live = polls.Hpm_ir.Pollpoint.live;
+    polls;
     attached = [];
   }
 
-let live t (f : Ir.func) : Liveness.t =
-  match Hashtbl.find_opt t.live f.Ir.name with
-  | Some l -> l
-  | None -> invalid_arg (Printf.sprintf "Ti.live: no function %s" f.Ir.name)
+let live t (f : Ir.func) : Liveness.t = Pollpoint.live t.polls f
 
 (** Wire encoding of a block type: (tid, count).  Fixed-size arrays whose
     element type is in the table are sent as (element tid, length) so heap

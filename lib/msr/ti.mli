@@ -32,7 +32,8 @@ type t = {
       (** stable program fingerprint: both endpoints must run the same
           migratable program.  FNV-1a of the printed IR, which is
           deterministic for a given source + pre-compiler strategy. *)
-  live : (string, Hpm_ir.Liveness.t) Hashtbl.t;  (** per function name *)
+  polls : Hpm_ir.Pollpoint.table;
+      (** the poll table insertion produced, with each function's liveness *)
   mutable attached : (Hpm_arch.Arch.t * attached) list;
 }
 
@@ -44,7 +45,8 @@ type t = {
     produced. *)
 val build : Hpm_ir.Ir.prog -> Hpm_ir.Pollpoint.table -> t
 
-(** The liveness of one of the program's functions.
+(** The liveness of one of the program's functions ([Pollpoint.live]
+    on [t.polls]).
     @raise Invalid_argument when the program has no function of that
     name. *)
 val live : t -> Hpm_ir.Ir.func -> Hpm_ir.Liveness.t
