@@ -747,7 +747,7 @@ let () =
   let sched_cmd =
     let module C = Hpm_sched.Cluster in
     let run_sched nodes procs seed crash_nodes max_moves journal_file
-        trace_file metrics_file show_events =
+        trace_file metrics_file =
       let module Obs = Hpm_obs.Obs in
       let cfg =
         {
@@ -769,8 +769,6 @@ let () =
       let t = C.run (C.create ?journal cfg) in
       let s = C.stats t in
       Option.iter Hpm_store.Journal.close journal;
-      if show_events then
-        List.iter (fun l -> Fmt.pr "%s@." l) (C.events t);
       Fmt.pr "sched: nodes=%d procs=%d seed=%d@." nodes procs seed;
       Fmt.pr "sched: %a@." C.pp_stats s;
       (match (metrics_file, !Obs.cur_metrics) with
@@ -825,18 +823,13 @@ let () =
            & info [ "metrics" ] ~docv:"FILE"
                ~doc:"write Prometheus-style metrics after the run")
     in
-    let show_events =
-      Arg.(value & flag
-           & info [ "events" ]
-               ~doc:"print the full deterministic event log before the stats")
-    in
     Cmd.v
       (Cmd.info "hpmrun-sched"
          ~doc:
            "run a seeded cluster-churn scenario on the discrete-event \
             scheduler (docs/SCHED.md)")
       Term.(const run_sched $ nodes $ procs $ seed $ crash_nodes $ max_moves
-            $ journal_file $ trace_file $ metrics_file $ show_events)
+            $ journal_file $ trace_file $ metrics_file)
   in
   (* `hpmrun query ...` / `hpmrun sched ...` dispatch to their own
      grammars; everything else keeps the historical single-command

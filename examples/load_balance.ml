@@ -26,7 +26,7 @@ let run_policy name policy =
   in
   let _ticks = Sched.run ~policy sim in
   Fmt.pr "@.=== policy: %s ===@." name;
-  List.iter (fun e -> Fmt.pr "%a@." Sched.pp_event e) (Sched.events sim);
+  List.iter (fun e -> Fmt.pr "%a@." Hpm_store.Journal.pp_entry e) (Sched.events sim);
   List.iter
     (fun p ->
       Fmt.pr "%s: output=%s migrations=%d finished at %.2fs on %s@."

@@ -148,27 +148,9 @@ module Metrics = struct
        "referenced chunks surviving the last gc");
       ("hpm_store_gc_live_bytes", Gauge,
        "on-disk bytes of referenced chunks at the last gc");
-      ("hpm_sched_spawns_total", Counter, "processes spawned by the scheduler");
-      ("hpm_sched_requests_total", Counter, "migration requests issued");
-      ("hpm_sched_compat_rejected_total", Counter,
-       "migration requests refused up front: the arch pair is Illegal for \
-        the program (docs/COMPAT.md)");
-      ("hpm_sched_migrations_total", Counter, "committed migrations");
-      ("hpm_sched_failed_migrations_total", Counter,
-       "migration epochs aborted (link or node faults)");
-      ("hpm_sched_recoveries_total", Counter,
-       "resumes from a retained checkpoint");
-      ("hpm_sched_requeues_total", Counter,
-       "checkpoints re-queued to another node");
-      ("hpm_sched_checkpoints_total", Counter,
-       "periodic incremental checkpoints committed");
-      ("hpm_sched_finished_total", Counter, "processes run to completion");
-      ("hpm_sched_promotions_total", Counter,
-       "warm standbys promoted to primary after source loss");
-      ("hpm_sched_standby_lost_total", Counter,
-       "standbys declared dead (heartbeat misses or crash)");
-      ("hpm_sched_resyncs_total", Counter,
-       "full resyncs served to gapped or restarted standbys");
+      ("hpm_sched_events_total", Counter,
+       "scheduler events, one per fleet-journal entry, by kind (the HPMJ ev \
+        name) and proc");
       ("hpm_replica_deltas_total", Counter,
        "replication deltas shipped to subscribers, by kind");
       ("hpm_replica_delta_bytes_total", Counter,
@@ -183,6 +165,8 @@ module Metrics = struct
        "outbox bytes queued toward a partitioned subscriber");
       ("hpm_replica_ship_seconds", Histogram,
        "simulated shipping lag of one delta to one subscriber");
+      ("hpm_replica_promotions_total", Counter,
+       "warm standbys promoted to primary after source loss");
       ("hpm_store_pinned_chunks", Gauge,
        "chunks pinned against gc by in-flight applications/subscriptions");
       ("hpm_store_gc_damaged_manifests_total", Counter,

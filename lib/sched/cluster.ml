@@ -168,7 +168,6 @@ type t = {
   rng : Rng.t;
   migs : cmig Vec.t;
   journal : Journal.t option;
-  evlog : string Vec.t;        (** deterministic text event log *)
   mutable now : float;
   mutable finished : int;
   mutable inflight : int;
@@ -183,21 +182,22 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Logging: text event log + HPMJ journal + Obs                        *)
+(* Recording: one HPMJ entry per event, counted and traced by kind     *)
 (* ------------------------------------------------------------------ *)
 
-let logline t fmt =
-  Printf.ksprintf
-    (fun s -> Vec.push t.evlog (Printf.sprintf "[%12.6f] %s" t.now s))
-    fmt
-
-let jadd t e = match t.journal with None -> () | Some j -> Journal.append j e
-
+(* Count and trace one event of [kind] at the current instant. *)
 let observe t kind =
   if Hpm_obs.Obs.metrics_on () then
     Hpm_obs.Obs.inc "hpm_cluster_events_total" [ ("kind", kind) ];
   if Hpm_obs.Obs.tracing () then
     Hpm_obs.Obs.instant ~ts:t.now ~cat:"cluster" ("cluster." ^ kind)
+
+(* Record one fleet event: its journal entry (the only event log), its
+   [hpm_cluster_events_total{kind}] count and its trace instant.  Node
+   crashes have no journal kind; they are only [observe]d. *)
+let emit t (e : Journal.entry) =
+  Option.iter (fun j -> Journal.append j e) t.journal;
+  observe t (Journal.ev_name e.Journal.j_ev)
 
 let set_inflight t d =
   t.inflight <- t.inflight + d;
@@ -330,12 +330,9 @@ let abort_mig t (m : cmig) ~reason =
         p.cp_mig <- None;
         t.n_failed <- t.n_failed + 1;
         let src_n = t.cnodes.(src) in
-        logline t "FAILED   %s: %s -> %s (%s)" p.cp_name src_n.cn_name
-          t.cnodes.(m.m_dst).cn_name reason;
-        jadd t
+        emit t
           (Journal.entry ~ts:t.now ~ev:Journal.Failed ~proc:p.cp_name
              ~src:src_n.cn_name ~dst:t.cnodes.(m.m_dst).cn_name ~note:reason ());
-        observe t "failed";
         if p.cp_suspended then
           if src_n.cn_alive then begin
             (* still live: the retained source copy just resumes *)
@@ -373,13 +370,10 @@ let requeue_mig t (m : cmig) ~dead =
       List.iter
         (fun (pid, src) ->
           let p = t.cprocs.(pid) in
-          logline t "REQUEUE  %s: %s dead, re-queued to %s" p.cp_name
-            t.cnodes.(dead).cn_name alt.cn_name;
-          jadd t
+          emit t
             (Journal.entry ~ts:t.now ~ev:Journal.Requeued ~proc:p.cp_name
                ~src:t.cnodes.(src).cn_name ~dst:alt.cn_name
-               ~note:("dead " ^ t.cnodes.(dead).cn_name) ());
-          observe t "requeued")
+               ~note:("dead " ^ t.cnodes.(dead).cn_name) ()))
         m.m_members;
       if m.m_begun then begin
         let transfer_s =
@@ -510,12 +504,9 @@ let start_migrations t (decisions : Policy.decision list) =
         p.cp_mig <- Some m.m_id;
         p.cp_last_move_s <- t.now;
         t.n_requested <- t.n_requested + 1;
-        logline t "request  %s: %s -> %s" p.cp_name t.cnodes.(src).cn_name
-          t.cnodes.(dst).cn_name;
-        jadd t
+        emit t
           (Journal.entry ~ts:t.now ~ev:Journal.Requested ~proc:p.cp_name
              ~src:t.cnodes.(src).cn_name ~dst:t.cnodes.(dst).cn_name ());
-        observe t "requested";
         schedule t ~time:poll_at (Ev_poll (pid, m.m_id)))
       members
   in
@@ -548,11 +539,9 @@ let handle t = function
             p.cp_mig <- None;
             if not (m.m_cancelled || m.m_committed) then detach_member t m pid
         | None -> ());
-        logline t "finish   %s on %s" p.cp_name n.cn_name;
-        jadd t
+        emit t
           (Journal.entry ~ts:t.now ~ev:Journal.Finished ~proc:p.cp_name
              ~node:n.cn_name ());
-        observe t "finished";
         reshare t n
       end
   | Ev_poll (pid, mid) ->
@@ -590,16 +579,12 @@ let handle t = function
               p.cp_last_move_s <- t.now;
               t.n_migrations <- t.n_migrations + 1;
               start_running t p dst;
-              logline t "migrate  %s: %s -> %s (epoch %d, %d B, %.3f ms)"
-                p.cp_name t.cnodes.(src).cn_name dst.cn_name p.cp_epoch
-                p.cp_state_bytes (dur *. 1e3);
-              jadd t
+              emit t
                 (Journal.entry ~ts:t.now ~ev:Journal.Migrated ~proc:p.cp_name
                    ~src:t.cnodes.(src).cn_name ~dst:dst.cn_name
                    ~epoch:p.cp_epoch ~stream_bytes:p.cp_state_bytes
                    ~collected_bytes:p.cp_state_bytes
-                   ~restored_bytes:p.cp_state_bytes ~time_s:dur ());
-              observe t "migrated")
+                   ~restored_bytes:p.cp_state_bytes ~time_s:dur ()))
             m.m_members;
           reshare t dst
         end
@@ -614,7 +599,6 @@ let handle t = function
       if n.cn_alive && live > 1 then begin
         n.cn_alive <- false;
         t.n_crashes <- t.n_crashes + 1;
-        logline t "CRASH    node %s" n.cn_name;
         observe t "crash";
         (* resolve in-flight migrations touching this node, in id order *)
         for i = 0 to Vec.length t.migs - 1 do
@@ -671,13 +655,10 @@ let handle t = function
             p.cp_epoch <- p.cp_epoch + 1;
             t.n_recovered <- t.n_recovered + 1;
             start_running t p target;
-            logline t "RECOVER  %s on %s (epoch %d, from checkpoint)" p.cp_name
-              target.cn_name p.cp_epoch;
-            jadd t
+            emit t
               (Journal.entry ~ts:t.now ~ev:Journal.Recovered ~proc:p.cp_name
                  ~node:target.cn_name ~epoch:p.cp_epoch
                  ~note:"crash recovery: modelled checkpoint" ());
-            observe t "recovered";
             reshare t target
       end
   | Ev_policy ->
@@ -759,7 +740,6 @@ let create ?journal ?policy (c : config) : t =
       rng;
       migs = Vec.create ();
       journal;
-      evlog = Vec.create ();
       now = 0.0;
       finished = 0;
       inflight = 0;
@@ -778,11 +758,9 @@ let create ?journal ?policy (c : config) : t =
     (fun p ->
       let n = cnodes.(p.cp_node) in
       n.cn_running <- ISet.add p.cp_id n.cn_running;
-      logline t "spawn    %s on %s" p.cp_name n.cn_name;
-      jadd t
+      emit t
         (Journal.entry ~ts:0.0 ~ev:Journal.Spawned ~proc:p.cp_name
-           ~node:n.cn_name ());
-      observe t "spawned")
+           ~node:n.cn_name ()))
     cprocs;
   Array.iter (fun n -> reshare t n) cnodes;
   (* seeded crash plan: distinct nodes, times spread over the window *)
@@ -861,9 +839,6 @@ let stats (t : t) : stats =
     cs_journal_bytes =
       (match t.journal with None -> 0 | Some j -> Journal.bytes_written j);
   }
-
-(** The deterministic text event log, oldest first. *)
-let events (t : t) : string list = Vec.to_list t.evlog
 
 (** Gang groups and their member process names, group-name order. *)
 let groups (t : t) : (string * string list) list =

@@ -70,17 +70,10 @@ type proc = {
   mutable p_pending_dst : node option;  (** where the scheduler wants it *)
   mutable p_epoch : int;                (** next handoff incarnation number *)
   mutable p_migrations : int;
-  mutable p_compat_rejected : int;
-      (** placement requests refused up front: the portability analysis
-          found the (src, dst) arch pair Illegal for this program *)
   mutable p_failed_migrations : int;    (** epochs aborted (link or node faults) *)
   mutable p_recoveries : int;           (** resumes from a retained checkpoint *)
-  mutable p_requeues : int;             (** checkpoints re-queued to a third node *)
-  mutable p_promotions : int;           (** standbys promoted to primary *)
-  mutable p_resyncs : int;              (** full resyncs served to standbys *)
   mutable p_bytes_collected : int;      (** Σ Dᵢ collected across migrations *)
   mutable p_bytes_restored : int;       (** Σ Dᵢ restored across migrations *)
-  mutable p_retries : int;              (** transport chunk retries, cumulative *)
   mutable p_finish_time : float option;
   mutable p_output : Buffer.t;          (** output accumulated across hosts *)
   mutable p_cache : Snapshot.cache;     (** incremental-snapshot cache, per interpreter *)
@@ -99,39 +92,6 @@ let store_name (p : proc) =
     (fun c ->
       match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> c | _ -> '_')
     p.p_name
-
-(** What one completed handoff cost, surfaced per [Migrated] event (the
-    per-migration view of the cumulative [p_*] counters). *)
-type mig_stats = {
-  ms_epoch : int;
-  ms_stream_bytes : int;    (** encoded stream size on the wire *)
-  ms_collected_bytes : int; (** Σ Dᵢ the collector encoded *)
-  ms_restored_bytes : int;  (** Σ Dᵢ the restorer decoded *)
-  ms_retries : int;         (** transport chunk retries *)
-  ms_time_s : float;        (** simulated protocol time, waits included *)
-  ms_delta : Cstats.delta option;
-      (** incremental decomposition when the move ran as a pre-copy *)
-}
-
-type event =
-  | Spawned of float * string * string            (* time, proc, node *)
-  | Requested of float * string * string * string (* time, proc, from, to *)
-  | Compat_rejected of float * string * string * string
-      (* time, proc, from, to: placement refused, pair is Illegal *)
-  | Migrated of float * string * string * string * mig_stats
-      (* time, proc, from, to, cost *)
-  | Migration_failed of float * string * string * string * int * float
-      (* time, proc, from, to, retries spent, seconds wasted *)
-  | Recovered of float * string * string * string (* time, proc, node, why *)
-  | Checkpointed of float * string * int * Cstats.delta
-      (* time, proc, store epoch, incremental stats *)
-  | Requeued of float * string * string * string * string
-      (* time, proc, source, dead dst, new dst *)
-  | Finished_ev of float * string * string        (* time, proc, node *)
-  | Promoted of float * string * string * string * int
-      (* time, proc, dead source node, promoted standby node, resume epoch *)
-  | Standby_lost of float * string * string       (* time, proc, standby node *)
-  | Resynced of float * string * string * int     (* time, proc, standby, epoch *)
 
 (* One simulation tick, in simulated seconds. *)
 let quantum_s = 0.01
@@ -155,7 +115,9 @@ type t = {
   procs : proc Vec.t;          (** spawn order *)
   mutable now : float;
   mutable next_pid : int;
-  events : event Vec.t;        (** oldest first — no per-read reversal *)
+  events : Journal.entry Vec.t;
+      (** the event log, oldest first: the same records the journal
+          holds, so {!events} and [Journal.load] agree entry for entry *)
   timers : action Eheap.t;
       (** the global event heap: actions {!at} scheduled against the
           simulated clock, fired by {!run} in (time, seq) order *)
@@ -198,103 +160,26 @@ let create ?(transport = Transport.default_config) ?store ?ckpt_every_s ?precopy
     journal;
   }
 
-(* Durable projection of scheduler events into the HPMJ fleet journal.
-   Every variant maps — the journal is the post-mortem record of what
-   the fleet did, and a dropped event kind would be a hole in the
-   failover/billing story the query layer reports from. *)
-let journalize t e =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-      let entry = Journal.entry in
-      let je =
-        match e with
-        | Spawned (at, p, node) ->
-            entry ~ts:at ~ev:Journal.Spawned ~proc:p ~node ()
-        | Requested (at, p, src, dst) ->
-            entry ~ts:at ~ev:Journal.Requested ~proc:p ~src ~dst ()
-        | Compat_rejected (at, p, src, dst) ->
-            entry ~ts:at ~ev:Journal.Compat_rejected ~proc:p ~src ~dst ()
-        | Migrated (at, p, src, dst, ms) ->
-            let delta_bytes, shipped, reused =
-              match ms.ms_delta with
-              | Some d -> (d.Cstats.d_delta_bytes, d.Cstats.d_chunks_shipped,
-                           d.Cstats.d_chunks_reused)
-              | None -> (0, 0, 0)
-            in
-            entry ~ts:at ~ev:Journal.Migrated ~proc:p ~src ~dst
-              ~epoch:ms.ms_epoch ~stream_bytes:ms.ms_stream_bytes
-              ~collected_bytes:ms.ms_collected_bytes
-              ~restored_bytes:ms.ms_restored_bytes ~retries:ms.ms_retries
-              ~time_s:ms.ms_time_s ~delta_bytes ~chunks_shipped:shipped
-              ~chunks_reused:reused ()
-        | Migration_failed (at, p, src, dst, retries, wasted_s) ->
-            entry ~ts:at ~ev:Journal.Failed ~proc:p ~src ~dst ~retries
-              ~time_s:wasted_s ()
-        | Recovered (at, p, node, why) ->
-            entry ~ts:at ~ev:Journal.Recovered ~proc:p ~node ~note:why ()
-        | Checkpointed (at, p, epoch, d) ->
-            entry ~ts:at ~ev:Journal.Checkpointed ~proc:p ~epoch
-              ~collected_bytes:d.Cstats.d_data_bytes
-              ~delta_bytes:d.Cstats.d_delta_bytes
-              ~chunks_shipped:d.Cstats.d_chunks_shipped
-              ~chunks_reused:d.Cstats.d_chunks_reused ()
-        | Requeued (at, p, src, dead, alt) ->
-            entry ~ts:at ~ev:Journal.Requeued ~proc:p ~src ~dst:alt
-              ~note:("dead " ^ dead) ()
-        | Finished_ev (at, p, node) ->
-            entry ~ts:at ~ev:Journal.Finished ~proc:p ~node ()
-        | Promoted (at, p, src, sb, epoch) ->
-            entry ~ts:at ~ev:Journal.Promoted ~proc:p ~src ~dst:sb ~epoch ()
-        | Standby_lost (at, p, sb) ->
-            entry ~ts:at ~ev:Journal.Standby_lost ~proc:p ~node:sb ()
-        | Resynced (at, p, sb, epoch) ->
-            entry ~ts:at ~ev:Journal.Resynced ~proc:p ~node:sb ~epoch ()
-      in
-      Journal.append j je
-
-(* Single event chokepoint: every scheduler decision lands here, so this
-   is where the observability layer taps in.  Event timestamps are the
-   scheduler's own simulated clock. *)
-let log t e =
+(* Single event chokepoint: every scheduler decision is one HPMJ entry
+   (docs/FORMAT.md), kept in memory, appended to the journal, counted in
+   [hpm_sched_events_total{kind,proc}] and traced as [sched.<kind>].
+   Event timestamps are the scheduler's own simulated clock. *)
+let log t (e : Journal.entry) =
   Vec.push t.events e;
-  journalize t e;
+  Option.iter (fun j -> Journal.append j e) t.journal;
   if Hpm_obs.Obs.on () then begin
     let module Obs = Hpm_obs.Obs in
-    let at, name, proc =
-      match e with
-      | Spawned (at, p, _) -> (at, "sched.spawned", p)
-      | Requested (at, p, _, _) -> (at, "sched.requested", p)
-      | Compat_rejected (at, p, _, _) -> (at, "sched.compat-rejected", p)
-      | Migrated (at, p, _, _, _) -> (at, "sched.migrated", p)
-      | Migration_failed (at, p, _, _, _, _) -> (at, "sched.migration-failed", p)
-      | Recovered (at, p, _, _) -> (at, "sched.recovered", p)
-      | Checkpointed (at, p, _, _) -> (at, "sched.checkpointed", p)
-      | Requeued (at, p, _, _, _) -> (at, "sched.requeued", p)
-      | Finished_ev (at, p, _) -> (at, "sched.finished", p)
-      | Promoted (at, p, _, _, _) -> (at, "sched.promoted", p)
-      | Standby_lost (at, p, _) -> (at, "sched.standby-lost", p)
-      | Resynced (at, p, _, _) -> (at, "sched.resynced", p)
-    in
-    let metric =
-      match e with
-      | Spawned _ -> "hpm_sched_spawns_total"
-      | Requested _ -> "hpm_sched_requests_total"
-      | Compat_rejected _ -> "hpm_sched_compat_rejected_total"
-      | Migrated _ -> "hpm_sched_migrations_total"
-      | Migration_failed _ -> "hpm_sched_failed_migrations_total"
-      | Recovered _ -> "hpm_sched_recoveries_total"
-      | Checkpointed _ -> "hpm_sched_checkpoints_total"
-      | Requeued _ -> "hpm_sched_requeues_total"
-      | Finished_ev _ -> "hpm_sched_finished_total"
-      | Promoted _ -> "hpm_sched_promotions_total"
-      | Standby_lost _ -> "hpm_sched_standby_lost_total"
-      | Resynced _ -> "hpm_sched_resyncs_total"
-    in
-    Obs.inc metric [ ("proc", proc) ];
+    let kind = Journal.ev_name e.Journal.j_ev in
+    Obs.inc "hpm_sched_events_total" [ ("kind", kind); ("proc", e.Journal.j_proc) ];
     if Obs.tracing () then
-      Obs.instant ~ts:at ~cat:"sched" ~args:[ ("proc", Obs.Trace.S proc) ] name
+      Obs.instant ~ts:e.Journal.j_ts ~cat:"sched"
+        ~args:[ ("proc", Obs.Trace.S e.Journal.j_proc) ]
+        ("sched." ^ kind)
   end
+
+let recovered t (p : proc) (n : node) why =
+  Journal.entry ~ts:t.now ~ev:Journal.Recovered ~proc:p.p_name ~node:n.n_name
+    ~note:why ()
 
 let spawn t (nd : node) name (m : Migration.migratable) : proc =
   let p =
@@ -308,15 +193,10 @@ let spawn t (nd : node) name (m : Migration.migratable) : proc =
       p_pending_dst = None;
       p_epoch = 1;
       p_migrations = 0;
-      p_compat_rejected = 0;
       p_failed_migrations = 0;
       p_recoveries = 0;
-      p_requeues = 0;
-      p_promotions = 0;
-      p_resyncs = 0;
       p_bytes_collected = 0;
       p_bytes_restored = 0;
-      p_retries = 0;
       p_finish_time = None;
       p_output = Buffer.create 64;
       p_cache = Snapshot.new_cache ();
@@ -331,7 +211,7 @@ let spawn t (nd : node) name (m : Migration.migratable) : proc =
   t.next_pid <- t.next_pid + 1;
   nd.n_procs <- nd.n_procs + 1;
   Vec.push t.procs p;
-  log t (Spawned (t.now, name, nd.n_name));
+  log t (Journal.entry ~ts:t.now ~ev:Journal.Spawned ~proc:name ~node:nd.n_name ());
   p
 
 (** May the scheduler place [p] onto [dst] at all?  [true] without a
@@ -347,29 +227,33 @@ let placement_ok t (p : proc) (dst : node) =
     the process never even attempts the move ([Compat_rejected]). *)
 let request_migration t (p : proc) (dst : node) =
   if dst != p.p_node then
-    if not (placement_ok t p dst) then (
-      p.p_compat_rejected <- p.p_compat_rejected + 1;
-      log t (Compat_rejected (t.now, p.p_name, p.p_node.n_name, dst.n_name)))
+    if not (placement_ok t p dst) then
+      log t
+        (Journal.entry ~ts:t.now ~ev:Journal.Compat_rejected ~proc:p.p_name
+           ~src:p.p_node.n_name ~dst:dst.n_name ())
     else (
       p.p_pending_dst <- Some dst;
       p.p_last_move_s <- t.now;
       Interp.request_migration p.p_interp;
-      log t (Requested (t.now, p.p_name, p.p_node.n_name, dst.n_name)))
+      log t
+        (Journal.entry ~ts:t.now ~ev:Journal.Requested ~proc:p.p_name
+           ~src:p.p_node.n_name ~dst:dst.n_name ()))
 
-(* Least-loaded node outside [avoid]; ties break on node name, so the
-   pick is independent of node-registration order. *)
-let least_loaded_except t (avoid : node list) : node option =
-  List.fold_left
-    (fun acc n ->
-      if List.memq n avoid then acc
-      else
-        match acc with
-        | Some best
-          when best.n_procs < n.n_procs
-               || (best.n_procs = n.n_procs && best.n_name <= n.n_name) ->
-            acc
-        | _ -> Some n)
-    None t.nodes
+let node_named t name = Hashtbl.find_opt t.by_name name
+
+(* The policy-facing node view: what {!Policy.POLICY} implementations
+   see. *)
+let node_view t : Policy.node_info list =
+  List.map
+    (fun n ->
+      {
+        Policy.ni_name = n.n_name;
+        ni_speed = n.n_arch.Arch.speed;
+        ni_load = n.n_procs;
+        ni_site = n.n_site;
+        ni_alive = true;
+      })
+    t.nodes
 
 (* Re-home [p]'s bookkeeping onto [dst] with a freshly restored
    interpreter.  The old interpreter's output is folded first: a restored
@@ -407,7 +291,12 @@ let checkpoint_now t (p : proc) =
       (match t.ckpt_every_s with
       | Some d -> p.p_next_ckpt <- t.now +. d
       | None -> ());
-      log t (Checkpointed (t.now, p.p_name, epoch, stats))
+      log t
+        (Journal.entry ~ts:t.now ~ev:Journal.Checkpointed ~proc:p.p_name ~epoch
+           ~collected_bytes:stats.Cstats.d_data_bytes
+           ~delta_bytes:stats.Cstats.d_delta_bytes
+           ~chunks_shipped:stats.Cstats.d_chunks_shipped
+           ~chunks_reused:stats.Cstats.d_chunks_reused ())
 
 (** Crash-restart [p] on its current node from durable state: the
     in-memory interpreter is lost (its unfolded output buffer is
@@ -432,7 +321,7 @@ let recover_from_store t (p : proc) : bool =
       p.p_bytes_restored <- p.p_bytes_restored + rstats.Cstats.r_data_bytes;
       p.p_state <- Blocked_until (t.now +. t.handoff.Handoff.restart_delay_s);
       let why = Printf.sprintf "crash recovery: store manifest epoch %d" mf.Store.mf_epoch in
-      log t (Recovered (t.now, p.p_name, p.p_node.n_name, why));
+      log t (recovered t p p.p_node why);
       true
 
 (* Resume on the source from a retained checkpoint (crash recovery or
@@ -445,14 +334,16 @@ let resume_from_ckpt t p ~epoch ~why ckpt busy_s =
   p.p_recoveries <- p.p_recoveries + 1;
   p.p_bytes_restored <- p.p_bytes_restored + rstats.Cstats.r_data_bytes;
   p.p_state <- Blocked_until (t.now +. busy_s);
-  log t (Recovered (t.now, p.p_name, p.p_node.n_name, why))
+  log t (recovered t p p.p_node why)
 
 let finish t (p : proc) v =
   Buffer.add_string p.p_output (Interp.output p.p_interp);
   p.p_state <- Finished v;
   p.p_node.n_procs <- p.p_node.n_procs - 1;
   p.p_finish_time <- Some t.now;
-  log t (Finished_ev (t.now, p.p_name, p.p_node.n_name))
+  log t
+    (Journal.entry ~ts:t.now ~ev:Journal.Finished ~proc:p.p_name
+       ~node:p.p_node.n_name ())
 
 (* Apply whatever recovery a completed handoff's outcome demands (see the
    module header).  [extra_s] is protocol time already spent before the
@@ -477,20 +368,21 @@ let apply_handoff_outcome t (p : proc) (dst : node) ~epoch ?delta
       p.p_migrations <- p.p_migrations + 1;
       p.p_bytes_collected <- p.p_bytes_collected + c.Handoff.c_cstats.Cstats.c_data_bytes;
       p.p_bytes_restored <- p.p_bytes_restored + c.Handoff.c_rstats.Cstats.r_data_bytes;
-      p.p_retries <- p.p_retries + c.Handoff.c_tstats.Transport.t_retries;
       p.p_state <- Blocked_until (t.now +. c.Handoff.c_time_s +. extra_s);
+      let delta_bytes, chunks_shipped, chunks_reused =
+        match delta with
+        | Some d ->
+            (d.Cstats.d_delta_bytes, d.Cstats.d_chunks_shipped, d.Cstats.d_chunks_reused)
+        | None -> (0, 0, 0)
+      in
       log t
-        (Migrated
-           ( t.now, p.p_name, src.n_name, dst.n_name,
-             {
-               ms_epoch = epoch;
-               ms_stream_bytes = c.Handoff.c_stream_bytes;
-               ms_collected_bytes = c.Handoff.c_cstats.Cstats.c_data_bytes;
-               ms_restored_bytes = c.Handoff.c_rstats.Cstats.r_data_bytes;
-               ms_retries = c.Handoff.c_tstats.Transport.t_retries;
-               ms_time_s = c.Handoff.c_time_s +. extra_s;
-               ms_delta = delta;
-             } ));
+        (Journal.entry ~ts:t.now ~ev:Journal.Migrated ~proc:p.p_name ~src:src.n_name
+           ~dst:dst.n_name ~epoch ~stream_bytes:c.Handoff.c_stream_bytes
+           ~collected_bytes:c.Handoff.c_cstats.Cstats.c_data_bytes
+           ~restored_bytes:c.Handoff.c_rstats.Cstats.r_data_bytes
+           ~retries:c.Handoff.c_tstats.Transport.t_retries
+           ~time_s:(c.Handoff.c_time_s +. extra_s) ~delta_bytes ~chunks_shipped
+           ~chunks_reused ());
       fresh_lineage ()
   | Handoff.Source_recovered r ->
       p.p_failed_migrations <- p.p_failed_migrations + 1;
@@ -499,10 +391,9 @@ let apply_handoff_outcome t (p : proc) (dst : node) ~epoch ?delta
       p.p_recoveries <- p.p_recoveries + 1;
       p.p_state <- Blocked_until (t.now +. r.Handoff.r_time_s +. extra_s);
       log t
-        (Recovered
-           ( t.now, p.p_name, src.n_name,
-             Printf.sprintf "source crashed after %s; resumed from checkpoint (epoch %d)"
-               (Netsim.phase_name r.Handoff.r_crash_phase) epoch ));
+        (recovered t p src
+           (Printf.sprintf "source crashed after %s; resumed from checkpoint (epoch %d)"
+              (Netsim.phase_name r.Handoff.r_crash_phase) epoch));
       fresh_lineage ()
   | Handoff.Abort_requeue q -> (
       p.p_failed_migrations <- p.p_failed_migrations + 1;
@@ -513,9 +404,13 @@ let apply_handoff_outcome t (p : proc) (dst : node) ~epoch ?delta
         Interp.clear_migration_request p.p_interp;
         p.p_recoveries <- p.p_recoveries + 1;
         p.p_state <- Blocked_until (t.now +. q.Handoff.q_time_s +. extra_s);
-        log t (Recovered (t.now, p.p_name, src.n_name, why))
+        log t (recovered t p src why)
       in
-      match least_loaded_except t [ dst; src ] with
+      match
+        Option.bind
+          (Policy.least_loaded_node ~avoid:[ dst.n_name; src.n_name ] (node_view t))
+          (fun n -> node_named t n.Policy.ni_name)
+      with
       | None ->
           resume_locally
             (Printf.sprintf "%s; no other node, source copy resumes" q.Handoff.q_reason)
@@ -531,18 +426,17 @@ let apply_handoff_outcome t (p : proc) (dst : node) ~epoch ?delta
                   ~epoch:q.Handoff.q_epoch delivered
               in
               rehome p alt interp;
-              p.p_requeues <- p.p_requeues + 1;
               p.p_migrations <- p.p_migrations + 1;
               p.p_bytes_restored <- p.p_bytes_restored + rstats.Cstats.r_data_bytes;
-              p.p_retries <- p.p_retries + ts.Transport.t_retries;
               p.p_state <-
                 Blocked_until
                   (t.now +. q.Handoff.q_time_s +. ts.Transport.t_time_s +. extra_s);
-              log t (Requeued (t.now, p.p_name, src.n_name, dst.n_name, alt.n_name));
+              log t
+                (Journal.entry ~ts:t.now ~ev:Journal.Requeued ~proc:p.p_name
+                   ~src:src.n_name ~dst:alt.n_name ~note:("dead " ^ dst.n_name) ());
               p.p_cache <- Snapshot.new_cache ();
               checkpoint_now t p
-          | Transport.Aborted { stats; _ } ->
-              p.p_retries <- p.p_retries + stats.Transport.t_retries;
+          | Transport.Aborted _ ->
               resume_locally
                 (Printf.sprintf "%s; re-queue link also failed, source copy resumes"
                    q.Handoff.q_reason)))
@@ -564,14 +458,13 @@ let apply_handoff_outcome t (p : proc) (dst : node) ~epoch ?delta
   | Handoff.Link_failed l ->
       p.p_pending_dst <- None;
       p.p_failed_migrations <- p.p_failed_migrations + 1;
-      p.p_retries <- p.p_retries + l.Handoff.l_stats.Transport.t_retries;
       Interp.clear_migration_request p.p_interp;
       (* the process stayed put; it only wasted the transfer attempt's time *)
       p.p_state <- Blocked_until (t.now +. l.Handoff.l_time_s +. extra_s);
       log t
-        (Migration_failed
-           ( t.now, p.p_name, src.n_name, dst.n_name,
-             l.Handoff.l_stats.Transport.t_retries, l.Handoff.l_time_s +. extra_s ))
+        (Journal.entry ~ts:t.now ~ev:Journal.Failed ~proc:p.p_name ~src:src.n_name
+           ~dst:dst.n_name ~retries:l.Handoff.l_stats.Transport.t_retries
+           ~time_s:(l.Handoff.l_time_s +. extra_s) ())
 
 (* One-shot stop-and-copy migration: the classic path. *)
 let perform_handoff t (p : proc) (dst : node) =
@@ -615,20 +508,15 @@ let perform_precopy t (p : proc) (dst : node) (pcfg : Precopy.config) (st : Stor
       match p.p_interp.Interp.result with
       | Some v -> finish t p v
       | None -> p.p_state <- Runnable (* defensive; cannot happen *))
-  | Precopy.Round_link_failed { rl_round; rl_reason; rl_stats } ->
+  | Precopy.Round_link_failed { rl_stats; _ } ->
       p.p_pending_dst <- None;
       p.p_failed_migrations <- p.p_failed_migrations + 1;
-      (match rl_stats with
-      | Some s -> p.p_retries <- p.p_retries + s.Transport.t_retries
-      | None -> ());
       p.p_state <- Blocked_until (t.now +. pres.Precopy.p_precopy_s);
       log t
-        (Migration_failed
-           ( t.now, p.p_name, src.n_name, dst.n_name,
-             (match rl_stats with Some s -> s.Transport.t_retries | None -> 0),
-             pres.Precopy.p_precopy_s ));
-      ignore rl_round;
-      ignore rl_reason
+        (Journal.entry ~ts:t.now ~ev:Journal.Failed ~proc:p.p_name ~src:src.n_name
+           ~dst:dst.n_name
+           ~retries:(match rl_stats with Some s -> s.Transport.t_retries | None -> 0)
+           ~time_s:pres.Precopy.p_precopy_s ())
 
 (** Move [p]'s state to [dst] — through iterative pre-copy when the
     scheduler was created with a store and a pre-copy config, otherwise
@@ -721,22 +609,8 @@ let run ?(max_ticks = 1_000_000) ?(policy = fun (_ : t) -> ()) t : int =
 (* Policies                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let node_named t name = Hashtbl.find_opt t.by_name name
-
-(* The policy-facing views: what {!Policy.POLICY} implementations see.
-   Proc views are in spawn order (the candidate tie-break). *)
-let node_view t : Policy.node_info list =
-  List.map
-    (fun n ->
-      {
-        Policy.ni_name = n.n_name;
-        ni_speed = n.n_arch.Arch.speed;
-        ni_load = n.n_procs;
-        ni_site = n.n_site;
-        ni_alive = true;
-      })
-    t.nodes
-
+(* The policy-facing process view, in spawn order (the candidate
+   tie-break). *)
 let proc_view t : Policy.proc_info list =
   Vec.fold_left
     (fun acc p ->
@@ -781,40 +655,16 @@ let load_balance (t : t) = apply_policy t (Policy.least_loaded ())
     {!Policy.seek_fastest} applied once per call. *)
 let seek_fastest (t : t) = apply_policy t (Policy.seek_fastest ())
 
-let pp_event ppf = function
-  | Spawned (ts, p, n) -> Fmt.pf ppf "[%8.3fs] spawn    %s on %s" ts p n
-  | Requested (ts, p, a, b) -> Fmt.pf ppf "[%8.3fs] request  %s: %s -> %s" ts p a b
-  | Compat_rejected (ts, p, a, b) ->
-      Fmt.pf ppf "[%8.3fs] REJECT   %s: %s -> %s (arch pair illegal for this program)"
-        ts p a b
-  | Migrated (ts, p, a, b, ms) ->
-      Fmt.pf ppf
-        "[%8.3fs] migrate  %s: %s -> %s (epoch %d: %d stream B, %dB collected, %dB restored, %d retries, %.2f ms)%a"
-        ts p a b ms.ms_epoch ms.ms_stream_bytes ms.ms_collected_bytes
-        ms.ms_restored_bytes ms.ms_retries (ms.ms_time_s *. 1e3)
-        (Fmt.option (fun ppf d -> Fmt.pf ppf " [pre-copy: %a]" Cstats.pp_delta d))
-        ms.ms_delta
-  | Migration_failed (ts, p, a, b, retries, wasted) ->
-      Fmt.pf ppf "[%8.3fs] FAILED   %s: %s -> %s (%d retries, %.2f ms wasted; re-queued on %s)"
-        ts p a b retries (wasted *. 1e3) a
-  | Recovered (ts, p, n, why) ->
-      Fmt.pf ppf "[%8.3fs] RECOVER  %s on %s: %s" ts p n why
-  | Requeued (ts, p, src, dead, alt) ->
-      Fmt.pf ppf "[%8.3fs] REQUEUE  %s: %s -> %s dead, checkpoint re-queued to %s" ts p
-        src dead alt
-  | Finished_ev (ts, p, n) -> Fmt.pf ppf "[%8.3fs] finish   %s on %s" ts p n
-  | Checkpointed (ts, p, epoch, d) ->
-      Fmt.pf ppf "[%8.3fs] ckpt     %s (epoch %d: %a)" ts p epoch Cstats.pp_delta d
-  | Promoted (ts, p, src, sb, epoch) ->
-      Fmt.pf ppf "[%8.3fs] PROMOTE  %s: %s dead, standby %s promoted at epoch %d" ts
-        p src sb epoch
-  | Standby_lost (ts, p, sb) ->
-      Fmt.pf ppf "[%8.3fs] SB-LOST  %s: standby %s missed too many heartbeats" ts p sb
-  | Resynced (ts, p, sb, epoch) ->
-      Fmt.pf ppf "[%8.3fs] RESYNC   %s: full resync to standby %s at epoch %d" ts p sb
-        epoch
-
 let events t = Vec.to_list t.events
+
+(** How many [kind] entries the event log holds for [p]: e.g.
+    [count t p Journal.Promoted] is its promotions, [Compat_rejected]
+    its refused placements, [Requeued] its checkpoints re-queued to a
+    third node, [Resynced] the full resyncs served to its standbys. *)
+let count t (p : proc) (kind : Journal.ev) =
+  Vec.fold_left
+    (fun n e -> if e.Journal.j_ev = kind && e.Journal.j_proc = p.p_name then n + 1 else n)
+    0 t.events
 
 let output (p : proc) =
   (* finished processes folded their last host's output already *)
@@ -853,10 +703,13 @@ let absorb_replica_events t (p : proc) (r : Replica.t) seen0 =
       if i >= seen0 then
         match e with
         | Replica.Ev_resync { er_epoch; er_sub; _ } ->
-            p.p_resyncs <- p.p_resyncs + 1;
-            log t (Resynced (t.now, p.p_name, er_sub, er_epoch))
+            log t
+              (Journal.entry ~ts:t.now ~ev:Journal.Resynced ~proc:p.p_name
+                 ~node:er_sub ~epoch:er_epoch ())
         | Replica.Ev_standby_lost { el_epoch = _; el_sub } ->
-            log t (Standby_lost (t.now, p.p_name, el_sub))
+            log t
+              (Journal.entry ~ts:t.now ~ev:Journal.Standby_lost ~proc:p.p_name
+                 ~node:el_sub ())
         | _ -> ())
     (Replica.events r)
 
@@ -907,11 +760,12 @@ let promote_standby ?sub t (p : proc) (r : Replica.t) : Replica.promotion =
   Buffer.clear p.p_interp.Interp.out;
   rehome p dst pm.Replica.pm_interp;
   p.p_cache <- Snapshot.new_cache ();
-  p.p_promotions <- p.p_promotions + 1;
   p.p_recoveries <- p.p_recoveries + 1;
   p.p_epoch <- pm.Replica.pm_epoch + 1;
   p.p_ckpt_epoch <- pm.Replica.pm_epoch + 1;
   t.now <- t.now +. (Replica.time_s r -. t0);
   p.p_state <- Blocked_until (t.now +. t.handoff.Handoff.restart_delay_s);
-  log t (Promoted (t.now, p.p_name, src_name, dst.n_name, pm.Replica.pm_epoch));
+  log t
+    (Journal.entry ~ts:t.now ~ev:Journal.Promoted ~proc:p.p_name ~src:src_name
+       ~dst:dst.n_name ~epoch:pm.Replica.pm_epoch ());
   pm

@@ -130,6 +130,19 @@ let encode_entry (e : entry) : string =
     e.j_retries (Json.num e.j_time_s) e.j_delta_bytes e.j_chunks_shipped
     e.j_chunks_reused (Json.str e.j_note)
 
+(** One entry on one line for people: time, kind, process, where, and
+    the non-zero costs; {!encode_entry} is the full record. *)
+let pp_entry ppf e =
+  let pf fmt = Format.fprintf ppf fmt in
+  pf "[%8.3fs] %-15s %s" e.j_ts (ev_name e.j_ev) e.j_proc;
+  if e.j_src <> "" || e.j_dst <> "" then pf ": %s -> %s" e.j_src e.j_dst;
+  if e.j_node <> "" then pf " on %s" e.j_node;
+  if e.j_epoch <> 0 then pf " (epoch %d)" e.j_epoch;
+  if e.j_stream_bytes <> 0 then
+    pf " %d stream B, %d retries, %.2f ms" e.j_stream_bytes e.j_retries
+      (e.j_time_s *. 1e3);
+  if e.j_note <> "" then pf ": %s" e.j_note
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

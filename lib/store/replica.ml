@@ -770,7 +770,7 @@ let promote ?sub t : promotion =
     (Ev_promoted { ev_sub = sb.sb_name; ev_from = from_epoch;
                    ev_epoch = sb.sb_epoch; ev_catchup = catchup });
   if Obs.metrics_on () then
-    Obs.inc "hpm_sched_promotions_total" [ ("proc", t.r_proc) ];
+    Obs.inc "hpm_replica_promotions_total" [ ("proc", t.r_proc) ];
   if Obs.tracing () then
     Obs.instant ~ts:(Obs.now () +. t.r_time) ~cat:"replica"
       ~args:[ ("sub", Obs.Trace.S sb.sb_name);

@@ -341,8 +341,8 @@ let with_obs f =
   Obs.set_metrics (Some reg);
   Fun.protect ~finally:Obs.reset (fun () -> f tr reg)
 
-(* One full observed churn run into [dir]: returns (stats, event-log
-   lines, journal bytes, trace json, metrics text). *)
+(* One full observed churn run into [dir]: returns (stats, journal
+   bytes, trace json, metrics text). *)
 let observed_run dir cfg =
   let path = Filename.concat dir "fleet.hpmj" in
   let j = Journal.open_journal path in
@@ -352,21 +352,47 @@ let observed_run dir cfg =
         (t, Obs.Trace.to_json tr, Obs.Metrics.render reg))
   in
   Journal.close j;
-  (C.stats t, C.events t, journal_bytes path, trace, metrics)
+  (C.stats t, journal_bytes path, trace, metrics)
 
 let test_churn_determinism () =
   let run () = with_dir (fun dir -> observed_run dir test_cfg) in
-  let s1, ev1, j1, tr1, m1 = run () in
-  let s2, ev2, j2, tr2, m2 = run () in
+  let s1, j1, tr1, m1 = run () in
+  let s2, j2, tr2, m2 = run () in
   check_bool "stats identical" true (s1 = s2);
-  check_int "same event-log length" (List.length ev1) (List.length ev2);
-  check_bool "event logs byte-identical" true (ev1 = ev2);
   check_bool "journals byte-identical" true (j1 = j2);
   check_bool "chrome traces byte-identical" true (tr1 = tr2);
   check_bool "metrics byte-identical" true (m1 = m2);
   (* and the journal really exercised segmentation at this size *)
   check_bool "journal wrote real volume" true
     (String.length j1 > 100_000)
+
+(* The journal is the one event record: each kind's
+   [hpm_cluster_events_total] counter equals its journal entries, and
+   node crashes, which have no journal kind, are counted apart. *)
+let test_churn_metrics_match_journal () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "fleet.hpmj" in
+      let j = Journal.open_journal path in
+      let t, reg =
+        with_obs (fun _ reg -> (C.run (C.create ~journal:j test_cfg), reg))
+      in
+      Journal.close j;
+      let entries = Journal.load path in
+      let counted kind =
+        Obs.Metrics.value reg "hpm_cluster_events_total" [ ("kind", kind) ]
+        |> Option.value ~default:0.0 |> int_of_float
+      in
+      List.iter
+        (fun ev ->
+          check_int
+            (Journal.ev_name ev ^ ": counter equals journal entries")
+            (List.length (List.filter (fun e -> e.Journal.j_ev = ev) entries))
+            (counted (Journal.ev_name ev)))
+        Journal.all_evs;
+      check_bool "the run migrated and recovered" true
+        (counted "migrated" > 0 && counted "recovered" > 0);
+      check_int "crashes counted without a journal kind"
+        (C.stats t).C.cs_crashes (counted "crash"))
 
 let finished_before journal proc ts =
   List.exists
@@ -515,6 +541,8 @@ let suite =
     tc "journal: compaction merges segments" test_journal_compact;
     tc_slow "cluster: same-seed churn is byte-identical"
       test_churn_determinism;
+    tc_slow "cluster: every event counter equals its journal entries"
+      test_churn_metrics_match_journal;
     tc_slow "cluster: exactly-once output under node crashes"
       test_churn_exactly_once;
     tc_slow "cluster: anti-flap hysteresis holds in the journal"

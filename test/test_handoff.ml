@@ -447,6 +447,7 @@ let test_tampered_restore_aborts_handoff () =
 (* ------------------------------------------------------------------ *)
 
 open Hpm_sched
+module Journal = Hpm_store.Journal
 
 let three_nodes () =
   let a = Sched.node "alpha" Hpm_arch.Arch.dec5000 in
@@ -463,10 +464,10 @@ let test_sched_requeues_on_dest_crash () =
   Sched.request_migration sim p b;
   let _ = Sched.run sim in
   check_string "output exactly once" "40\n" (Sched.output p);
-  check_int "one requeue" 1 p.Sched.p_requeues;
+  check_int "one requeue" 1 (Sched.count sim p Journal.Requeued);
   check_bool "landed on the third node" true (p.Sched.p_node == c);
   check_bool "requeue event logged" true
-    (List.exists (function Sched.Requeued _ -> true | _ -> false) (Sched.events sim))
+    (List.exists (fun e -> e.Journal.j_ev = Journal.Requeued) (Sched.events sim))
 
 let test_sched_source_crash_recovers_locally () =
   let sim, a, b, _, channel = three_nodes () in
@@ -479,7 +480,7 @@ let test_sched_source_crash_recovers_locally () =
   check_int "one recovery" 1 p.Sched.p_recoveries;
   check_bool "still on the source" true (p.Sched.p_node == a);
   check_bool "recovery event logged" true
-    (List.exists (function Sched.Recovered _ -> true | _ -> false) (Sched.events sim))
+    (List.exists (fun e -> e.Journal.j_ev = Journal.Recovered) (Sched.events sim))
 
 let test_sched_stalled_resumes_checkpoint () =
   let sim, a, b, _, channel = three_nodes () in
@@ -501,19 +502,14 @@ let test_sched_migration_stats_surfaced () =
   check_string "output" "40\n" (Sched.output p);
   check_bool "collected bytes recorded" true (p.Sched.p_bytes_collected > 0);
   check_bool "restored bytes recorded" true (p.Sched.p_bytes_restored > 0);
-  let ms =
-    List.find_map
-      (function Sched.Migrated (_, _, _, _, ms) -> Some ms | _ -> None)
-      (Sched.events sim)
-  in
-  match ms with
+  match List.find_opt (fun e -> e.Journal.j_ev = Journal.Migrated) (Sched.events sim) with
   | None -> Alcotest.fail "no Migrated event"
-  | Some ms ->
-      check_int "epoch surfaced" 1 ms.Sched.ms_epoch;
-      check_bool "stream bytes surfaced" true (ms.Sched.ms_stream_bytes > 0);
-      check_bool "collected bytes surfaced" true (ms.Sched.ms_collected_bytes > 0);
-      check_bool "restored bytes surfaced" true (ms.Sched.ms_restored_bytes > 0);
-      check_bool "protocol time surfaced" true (ms.Sched.ms_time_s > 0.0)
+  | Some e ->
+      check_int "epoch surfaced" 1 e.Journal.j_epoch;
+      check_bool "stream bytes surfaced" true (e.Journal.j_stream_bytes > 0);
+      check_bool "collected bytes surfaced" true (e.Journal.j_collected_bytes > 0);
+      check_bool "restored bytes surfaced" true (e.Journal.j_restored_bytes > 0);
+      check_bool "protocol time surfaced" true (e.Journal.j_time_s > 0.0)
 
 let suite =
   [

@@ -42,13 +42,13 @@ let test_metrics_basics () =
 
 let test_label_canonicalisation () =
   let m = Obs.Metrics.create () in
-  Obs.Metrics.inc m "hpm_sched_spawns_total" [ ("b", "2"); ("a", "1") ];
-  Obs.Metrics.inc m "hpm_sched_spawns_total" [ ("a", "1"); ("b", "2") ];
+  Obs.Metrics.inc m "hpm_sched_events_total" [ ("b", "2"); ("a", "1") ];
+  Obs.Metrics.inc m "hpm_sched_events_total" [ ("a", "1"); ("b", "2") ];
   check_bool "label order does not split the series" true
-    (Obs.Metrics.value m "hpm_sched_spawns_total" [ ("b", "2"); ("a", "1") ] = Some 2.0);
-  Obs.Metrics.inc m "hpm_sched_requests_total" [ ("k", "x"); ("k", "y") ];
+    (Obs.Metrics.value m "hpm_sched_events_total" [ ("b", "2"); ("a", "1") ] = Some 2.0);
+  Obs.Metrics.inc m "hpm_cluster_events_total" [ ("k", "x"); ("k", "y") ];
   check_bool "duplicate keys: first occurrence wins" true
-    (Obs.Metrics.value m "hpm_sched_requests_total" [ ("k", "x") ] = Some 1.0)
+    (Obs.Metrics.value m "hpm_cluster_events_total" [ ("k", "x") ] = Some 1.0)
 
 let test_render_deterministic () =
   let build order =
@@ -82,7 +82,7 @@ let test_histogram_render () =
 
 let test_label_escaping () =
   let m = Obs.Metrics.create () in
-  Obs.Metrics.inc m "hpm_sched_spawns_total" [ ("proc", "a\"b\\c\nd") ];
+  Obs.Metrics.inc m "hpm_sched_events_total" [ ("proc", "a\"b\\c\nd") ];
   let r = Obs.Metrics.render m in
   check_bool "quote, backslash, and newline escaped" true
     (contains r "proc=\"a\\\"b\\\\c\\nd\"")
@@ -271,14 +271,14 @@ let test_ambient_labels () =
       Obs.set_labels [ ("proc", "p1") ];
       Obs.with_labels
         [ ("epoch", "3") ]
-        (fun () -> Obs.inc "hpm_sched_checkpoints_total" []);
+        (fun () -> Obs.inc "hpm_sched_events_total" []);
       check_bool "ambient + scoped labels applied" true
-        (Obs.Metrics.value reg "hpm_sched_checkpoints_total"
+        (Obs.Metrics.value reg "hpm_sched_events_total"
            [ ("proc", "p1"); ("epoch", "3") ]
         = Some 1.0);
-      Obs.inc "hpm_sched_checkpoints_total" [];
+      Obs.inc "hpm_sched_events_total" [];
       check_bool "scoped labels popped" true
-        (Obs.Metrics.value reg "hpm_sched_checkpoints_total" [ ("proc", "p1") ]
+        (Obs.Metrics.value reg "hpm_sched_events_total" [ ("proc", "p1") ]
         = Some 1.0))
 
 (* ---- end to end: an instrumented handoff ---- *)

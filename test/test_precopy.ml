@@ -160,7 +160,9 @@ let test_sched_periodic_checkpoints () =
       check_string "output exactly once" "40\n" (Sched.output p);
       let epochs =
         List.filter_map
-          (function Sched.Checkpointed (_, _, e, _) -> Some e | _ -> None)
+          (fun e ->
+            if e.Journal.j_ev = Journal.Checkpointed then Some e.Journal.j_epoch
+            else None)
           (Sched.events sim)
       in
       check_bool
@@ -208,12 +210,11 @@ let test_sched_crash_recovery_from_store () =
       check_string "output exactly once after crash" "40\n" (Sched.output p);
       check_bool "recovery event names the surviving epoch" true
         (List.exists
-           (function
-             | Sched.Recovered (_, _, _, why) ->
-                 why
-                 = Printf.sprintf "crash recovery: store manifest epoch %d"
-                     (List.nth epochs 1)
-             | _ -> false)
+           (fun e ->
+             e.Journal.j_ev = Journal.Recovered
+             && e.Journal.j_note
+                = Printf.sprintf "crash recovery: store manifest epoch %d"
+                    (List.nth epochs 1))
            (Sched.events sim)))
 
 let test_sched_precopy_migration () =
@@ -232,16 +233,11 @@ let test_sched_precopy_migration () =
       check_int "one migration" 1 p.Sched.p_migrations;
       check_bool "ends on fast" true (p.Sched.p_node == fast);
       match
-        List.find_opt
-          (function Sched.Migrated _ -> true | _ -> false)
-          (Sched.events sim)
+        List.find_opt (fun e -> e.Journal.j_ev = Journal.Migrated) (Sched.events sim)
       with
-      | Some (Sched.Migrated (_, _, _, _, ms)) -> (
-          match ms.Sched.ms_delta with
-          | Some d ->
-              check_bool "pre-copy shipped chunks" true (d.Cstats.d_chunks_shipped > 0)
-          | None -> Alcotest.fail "Migrated event lacks pre-copy stats")
-      | _ -> Alcotest.fail "no Migrated event")
+      | Some e ->
+          check_bool "pre-copy shipped chunks" true (e.Journal.j_chunks_shipped > 0)
+      | None -> Alcotest.fail "no Migrated event")
 
 let suite =
   [

@@ -385,17 +385,10 @@ let run_fleet dir =
       let _ = Sched.run sim in
       let shipped, reused =
         List.fold_left
-          (fun (s, u) ev ->
-            match ev with
-            | Sched.Checkpointed (_, _, _, d) ->
-                ( s + d.Hpm_core.Cstats.d_chunks_shipped,
-                  u + d.Hpm_core.Cstats.d_chunks_reused )
-            | Sched.Migrated (_, _, _, _, ms) -> (
-                match ms.Sched.ms_delta with
-                | Some d ->
-                    ( s + d.Hpm_core.Cstats.d_chunks_shipped,
-                      u + d.Hpm_core.Cstats.d_chunks_reused )
-                | None -> (s, u))
+          (fun (s, u) e ->
+            match e.Journal.j_ev with
+            | Journal.Checkpointed | Journal.Migrated ->
+                (s + e.Journal.j_chunks_shipped, u + e.Journal.j_chunks_reused)
             | _ -> (s, u))
           (0, 0) (Sched.events sim)
       in

@@ -2,6 +2,10 @@
 
 open Hpm_sched
 open Util
+module Journal = Hpm_store.Journal
+module Obs = Hpm_obs.Obs
+
+let logged sim kind = List.exists (fun e -> e.Journal.j_ev = kind) (Sched.events sim)
 
 let nqueens n = Util.prepare (Hpm_workloads.Nqueens.source n)
 
@@ -28,25 +32,9 @@ let test_explicit_migration () =
   check_int "one migration" 1 p.Sched.p_migrations;
   check_bool "ends on fast" true (p.Sched.p_node == fast);
   (* the event log records request, migrate, finish in order *)
-  let evs = Sched.events sim in
-  let kinds =
-    List.filter_map
-      (function
-        | Sched.Requested _ -> Some "req"
-        | Sched.Migrated _ -> Some "mig"
-        | Sched.Migration_failed _ -> Some "fail"
-        | Sched.Recovered _ -> Some "rec"
-        | Sched.Requeued _ -> Some "requeue"
-        | Sched.Finished_ev _ -> Some "fin"
-        | Sched.Spawned _ -> Some "spawn"
-        | Sched.Compat_rejected _ -> Some "compat-reject"
-        | Sched.Checkpointed _ -> Some "ckpt"
-        | Sched.Promoted _ -> Some "promote"
-        | Sched.Standby_lost _ -> Some "sb-lost"
-        | Sched.Resynced _ -> Some "resync")
-      evs
-  in
-  check_bool "event order" true (kinds = [ "spawn"; "req"; "mig"; "fin" ])
+  let kinds = List.map (fun e -> e.Journal.j_ev) (Sched.events sim) in
+  check_bool "event order" true
+    (kinds = Journal.[ Spawned; Requested; Migrated; Finished ])
 
 let test_migration_to_same_node_ignored () =
   let sim, slow, _ = mk_env () in
@@ -136,10 +124,7 @@ let test_failed_migration_requeues_on_source () =
   check_bool "stayed on source" true (p.Sched.p_node == slow);
   check_int "no migration counted" 0 p.Sched.p_migrations;
   check_int "one failed migration" 1 p.Sched.p_failed_migrations;
-  check_bool "failure event logged" true
-    (List.exists
-       (function Sched.Migration_failed _ -> true | _ -> false)
-       (Sched.events sim))
+  check_bool "failure event logged" true (logged sim Journal.Failed)
 
 let test_lossy_migration_still_succeeds () =
   (* a merely bad link: retries absorb the faults and the migration lands *)
@@ -190,19 +175,16 @@ let test_compat_gate_blocks_illegal_destination () =
   in
   let p = Sched.spawn sim fast "fp" (Util.prepare src) in
   Sched.request_migration sim p cramped;
-  check_int "rejection counted" 1 p.Sched.p_compat_rejected;
+  check_int "rejection counted" 1 (Sched.count sim p Journal.Compat_rejected);
   check_bool "no pending destination" true (p.Sched.p_pending_dst = None);
-  check_bool "rejection event logged" true
-    (List.exists
-       (function Sched.Compat_rejected _ -> true | _ -> false)
-       (Sched.events sim));
+  check_bool "rejection event logged" true (logged sim Journal.Compat_rejected);
   (* the same job may still move to a hard-double machine *)
   Sched.request_migration sim p arm;
   let _ = Sched.run sim in
   check_string "answer survives" "100\n" (Sched.output p);
   check_int "legal migration went through" 1 p.Sched.p_migrations;
   check_bool "ends on arm" true (p.Sched.p_node == arm);
-  check_int "still exactly one rejection" 1 p.Sched.p_compat_rejected
+  check_int "still exactly one rejection" 1 (Sched.count sim p Journal.Compat_rejected)
 
 let test_network_accounting () =
   let sim, slow, fast = mk_env () in
@@ -260,10 +242,12 @@ let test_replicate_promote_exactly_once () =
       | Hpm_store.Replica.Streamed 3 -> ()
       | _ -> Alcotest.fail "expected 3 streamed epochs");
       (* the dropped delta surfaced as a scheduler Resynced event *)
-      check_int "resync counted on the process" 1 p.Sched.p_resyncs;
+      check_int "resync counted on the process" 1 (Sched.count sim p Journal.Resynced);
       check_bool "Resynced event logged" true
         (List.exists
-           (function Sched.Resynced (_, "j", "sb0", _) -> true | _ -> false)
+           (fun e ->
+             e.Journal.j_ev = Journal.Resynced && e.Journal.j_proc = "j"
+             && e.Journal.j_node = "sb0")
            (Sched.events sim));
       (* the source dies mid-stream; the scheduler fails over *)
       Hpm_store.Replica.set_faults r
@@ -281,18 +265,90 @@ let test_replicate_promote_exactly_once () =
       ignore sb1;
       check_bool "process re-homed onto the standby's node" true
         (p.Sched.p_node == sb0);
-      check_int "promotion counted" 1 p.Sched.p_promotions;
+      check_int "promotion counted" 1 (Sched.count sim p Journal.Promoted);
       check_bool "Promoted event logged" true
         (List.exists
-           (function
-             | Sched.Promoted (_, "j", "src", "sb0", 3) -> true
-             | _ -> false)
+           (fun e ->
+             e.Journal.j_ev = Journal.Promoted && e.Journal.j_proc = "j"
+             && e.Journal.j_src = "src" && e.Journal.j_dst = "sb0"
+             && e.Journal.j_epoch = 3)
            (Sched.events sim));
       (* the scheduler runs the promoted copy to completion: combined
          output is exactly one program *)
       let _ = Sched.run sim in
       check_string "exactly-once across promotion" expected (Sched.output p);
       check_int "handoff epochs stay monotonic" 4 p.Sched.p_epoch)
+
+(* One promotion is one event: the replica counts its own promotion and
+   the scheduler counts its one Promoted entry, each exactly once. *)
+let test_promotion_counted_once () =
+  with_rep_env (fun sim src (sb0, _) ->
+      let p = Sched.spawn sim src "j" (jacobi 8) in
+      let r = Sched.replicate sim p ~standbys:[ sb0 ] in
+      ignore (Sched.stream_replica sim p r ~epochs:2 : Hpm_store.Replica.step);
+      let reg = Obs.Metrics.create () in
+      Fun.protect ~finally:Obs.reset (fun () ->
+          Obs.set_metrics (Some reg);
+          ignore (Sched.promote_standby sim p r : Hpm_store.Replica.promotion));
+      check_int "one Promoted entry" 1 (Sched.count sim p Journal.Promoted);
+      let value name labels =
+        Obs.Metrics.value reg name (("proc", "j") :: labels)
+      in
+      check_bool "replica family reads 1" true
+        (value "hpm_replica_promotions_total" [] = Some 1.0);
+      check_bool "scheduler family reads 1" true
+        (value "hpm_sched_events_total" [ ("kind", "promoted") ] = Some 1.0))
+
+(* The event log and the journal are one record: a run with a pre-copy
+   migration and a promotion reloads from disk entry for entry, and the
+   pre-copy move carries its incremental stats. *)
+let test_events_are_the_journal () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf dir with _ -> ())
+    (fun () ->
+      let st = Hpm_store.Store.open_store dir in
+      let jpath = Filename.concat dir "fleet.hpmj" in
+      let journal = Journal.open_journal jpath in
+      let src = Sched.node "src" Hpm_arch.Arch.dec5000 in
+      let fast = Sched.node "fast" Hpm_arch.Arch.x86_64 in
+      let sb0 = Sched.node "sb0" Hpm_arch.Arch.sparc20 in
+      let sim =
+        Sched.create ~channel:(Hpm_net.Netsim.ethernet_10 ()) ~store:st ~journal
+          ~precopy:{ Hpm_store.Precopy.default_config with Hpm_store.Precopy.round_polls = 5 }
+          [ src; fast; sb0 ]
+      in
+      let q = Sched.spawn sim src "q7" (nqueens 7) in
+      Sched.request_migration sim q fast;
+      let _ = Sched.run sim in
+      let j = Sched.spawn sim src "j8" (jacobi 8) in
+      let r = Sched.replicate sim j ~standbys:[ sb0 ] in
+      ignore (Sched.stream_replica sim j r ~epochs:3 : Hpm_store.Replica.step);
+      ignore (Sched.promote_standby sim j r : Hpm_store.Replica.promotion);
+      Hpm_store.Replica.close r;
+      let _ = Sched.run sim in
+      Journal.close journal;
+      check_string "pre-copied output" "40\n" (Sched.output q);
+      let events = Sched.events sim in
+      let loaded = Journal.load jpath in
+      check_int "as many journal lines as events" (List.length events)
+        (List.length loaded);
+      (* the journal prints floats to 9 digits, so compare encodings *)
+      List.iter2
+        (fun e l ->
+          check_string "entry for entry" (Journal.encode_entry e)
+            (Journal.encode_entry l))
+        events loaded;
+      check_int "one promotion" 1 (Sched.count sim j Journal.Promoted);
+      match
+        List.find_opt
+          (fun e -> e.Journal.j_ev = Journal.Migrated && e.Journal.j_proc = "q7")
+          events
+      with
+      | Some e ->
+          check_bool "pre-copy Migrated entry shipped chunks" true
+            (e.Journal.j_chunks_shipped > 0)
+      | None -> Alcotest.fail "no Migrated entry for the pre-copy move")
 
 let test_replicate_source_finishes () =
   with_rep_env (fun sim src (sb0, _) ->
@@ -335,6 +391,9 @@ let suite =
     tc "network accounting" test_network_accounting;
     tc "replication: stream, crash, promote, exactly-once"
       test_replicate_promote_exactly_once;
+    tc "replication: one promotion counts once per metric family"
+      test_promotion_counted_once;
+    tc "the event log is the journal, entry for entry" test_events_are_the_journal;
     tc "replication: source completion finishes the process"
       test_replicate_source_finishes;
     tc "replication requires a store" test_replicate_requires_store;
