@@ -1,20 +1,18 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§4), plus the §4.2 complexity decomposition and the §4.3
-   overhead experiment.
+(* Benchmark harness: the paper's evaluation (§4), the §4.3 overhead
+   experiment and the extensions beyond the paper.
 
      dune exec bench/main.exe            -- run everything
-     dune exec bench/main.exe -- het     -- §4.1  heterogeneity runs
-     dune exec bench/main.exe -- table1  -- Table 1
-     dune exec bench/main.exe -- fig2a   -- Figure 2(a) linpack sweep
-     dune exec bench/main.exe -- fig2b   -- Figure 2(b) bitonic sweep
-     dune exec bench/main.exe -- complexity
-     dune exec bench/main.exe -- overhead
+     dune exec bench/main.exe -- paper   -- §4.1, Table 1, Fig. 2(a)/(b), §4.2
+     dune exec bench/main.exe -- overhead | ablation | latency
+     dune exec bench/main.exe -- faults | recovery | delta | obs
+     dune exec bench/main.exe -- json [OUT]  -- the BENCH_v1 document
 
    Absolute times are ours (modern hardware simulating 1990s machines), so
    they cannot match the paper's seconds; the claims being reproduced are
    the *shapes*: §4.2's linear scaling of linpack collect/restore in data
    size, the O(n log n) vs O(n) gap for bitonic, and §4.3's overhead
-   behaviour under poll-point placement. *)
+   behaviour under poll-point placement.  `paper` prints a verdict for
+   each claim and exits 1 when a deterministic one fails. *)
 
 open Hpm_core
 
@@ -26,19 +24,8 @@ let time f =
   (r, now () -. t0)
 
 let pr fmt = Format.printf fmt
-
-let hr title =
-  pr "@.=====================================================================@.";
-  pr "%s@." title;
-  pr "=====================================================================@."
-
-(* Suspend a prepared program at the (k+1)-th poll event. *)
-let suspend m arch after =
-  let p = Migration.start m arch in
-  Hpm_machine.Interp.request_migration_after p after;
-  match Hpm_machine.Interp.run p with
-  | Hpm_machine.Interp.RPolled _ -> p
-  | _ -> failwith "program finished before the requested poll event"
+let hr = Hpm_bench.Paper.hr
+let suspend = Hpm_bench.Bench_json.suspend
 
 (* Run the copy that survives a handoff to completion: the output
    produced before the handoff followed by the survivor's. *)
@@ -47,194 +34,6 @@ let finish_survivor m src pre res =
   match Hpm_machine.Interp.run p with
   | Hpm_machine.Interp.RDone _ -> pre ^ Hpm_machine.Interp.output p
   | _ -> "<did not finish>"
-
-(* One full migration measurement: collect, (simulated) transmit, restore. *)
-type measurement = {
-  collect_s : float;
-  restore_s : float;
-  tx_s : float;
-  stream_bytes : int;
-  cs : Cstats.collect;
-  rs : Cstats.restore;
-}
-
-let measure ?(channel = Hpm_net.Netsim.ethernet_100 ()) ?(repeat = 1) m src_interp
-    dst_arch =
-  (* settle the GC so the timed sections measure the migration machinery,
-     not collection debt from building the workload state; with [repeat],
-     take the fastest of several runs (collection does not mutate the
-     source process, so it can be re-run) *)
-  let best f =
-    let rec go best n =
-      if n = 0 then best
-      else (
-        Gc.major ();
-        let r, dt = time f in
-        go (match best with Some (_, b) when b <= dt -> best | _ -> Some (r, dt)) (n - 1))
-    in
-    match go None repeat with Some (r, dt) -> (r, dt) | None -> assert false
-  in
-  let (data, cs), collect_s = best (fun () -> Collect.collect src_interp m.Migration.ti) in
-  let delivered, tx_s = Hpm_net.Netsim.send channel data in
-  let (dst, rs), restore_s =
-    best (fun () -> Restore.restore m.Migration.prog dst_arch m.Migration.ti delivered)
-  in
-  (dst, { collect_s; restore_s; tx_s; stream_bytes = String.length data; cs; rs })
-
-(* ------------------------------------------------------------------ *)
-(* §4.1 Heterogeneity                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let bench_het () =
-  hr "§4.1 Heterogeneity: DEC 5000/120 (LE, ILP32) -> Sparc 20 (BE, ILP32)";
-  pr "Each program runs on the little-endian DECstation, migrates at a mid-@.";
-  pr "execution poll-point over 10 Mb/s Ethernet, and finishes on the big-@.";
-  pr "endian SPARC.  'consistent' = output identical to an unmigrated run.@.@.";
-  pr "%-14s %10s %8s %8s %8s  %s@." "program" "stream B" "blocks" "frames" "Tx(s)" "consistent";
-  let channel = Hpm_net.Netsim.ethernet_10 () in
-  List.iter
-    (fun (name, n, after) ->
-      let w = Hpm_workloads.Registry.find_exn name in
-      let m = Migration.prepare (w.Hpm_workloads.Registry.source n) in
-      let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
-      let src = suspend m Hpm_arch.Arch.dec5000 after in
-      let dst, meas = measure ~channel m src Hpm_arch.Arch.sparc20 in
-      (match Hpm_machine.Interp.run dst with
-      | Hpm_machine.Interp.RDone _ -> ()
-      | _ -> failwith "destination did not finish");
-      let out = Hpm_machine.Interp.output src ^ Hpm_machine.Interp.output dst in
-      pr "%-14s %10d %8d %8d %8.4f  %s@." name meas.stream_bytes meas.cs.Cstats.c_blocks
-        meas.cs.Cstats.c_frames meas.tx_s
-        (if String.equal out expected then "yes" else "NO!");
-      if not (String.equal out expected) then exit 1)
-    [ ("test_pointer", 0, 2); ("linpack", 100, 120); ("bitonic", 3000, 9000) ];
-  pr "@.Also exercised in the test suite: sparc20->x86_64 (ILP32->LP64),@.";
-  pr "x86_64->i386 (alignment change), and three-hop chains.@."
-
-(* ------------------------------------------------------------------ *)
-(* Table 1                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let bench_table1 () =
-  hr "Table 1: migration time decomposition, Ultra 5 -> Ultra 5, 100 Mb/s";
-  pr "(paper: linpack 1000x1000 and the bitonic sort; times in seconds)@.@.";
-  pr "%-18s %10s %10s %10s %10s %12s@." "program" "Collect" "Tx" "Restore" "Total" "stream bytes";
-  let row name m after =
-    let src = suspend m Hpm_arch.Arch.ultra5 after in
-    let _, meas = measure m src Hpm_arch.Arch.ultra5 in
-    pr "%-18s %10.4f %10.4f %10.4f %10.4f %12d@." name meas.collect_s meas.tx_s
-      meas.restore_s
-      (meas.collect_s +. meas.tx_s +. meas.restore_s)
-      meas.stream_bytes;
-    meas
-  in
-  let ml = Migration.prepare (Hpm_workloads.Linpack.source Hpm_workloads.Linpack.table1_size) in
-  let lin = row "linpack 1000x1000" ml 1200 in
-  let mb = Migration.prepare (Hpm_workloads.Bitonic.source Hpm_workloads.Bitonic.table1_size) in
-  let bit = row "bitonic 40000" mb (6 * Hpm_workloads.Bitonic.table1_size) in
-  pr "@.shape checks (the paper's qualitative claims):@.";
-  pr "  linpack moves %d bytes in %d blocks  -> cost dominated by encode+Tx: %s@."
-    lin.cs.Cstats.c_data_bytes lin.cs.Cstats.c_blocks
-    (if lin.cs.Cstats.c_blocks < 64 then "ok (few, large MSR nodes)" else "UNEXPECTED");
-  pr "  bitonic moves %d bytes in %d blocks -> cost dominated by search+alloc: %s@."
-    bit.cs.Cstats.c_data_bytes bit.cs.Cstats.c_blocks
-    (if bit.cs.Cstats.c_blocks > 10_000 then "ok (many small MSR nodes)" else "UNEXPECTED")
-
-(* ------------------------------------------------------------------ *)
-(* Figure 2(a): linpack sweep                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bench_fig2a () =
-  hr "Figure 2(a): linpack collect & restore time vs data size";
-  pr "(migration mid-run; the matrices are fully allocated local arrays of@.";
-  pr "main, so the MSR node count stays constant while bytes grow)@.@.";
-  pr "%-8s %12s %8s %10s %10s %12s %12s@." "order" "data bytes" "blocks" "collect(s)"
-    "restore(s)" "col ns/byte" "res ns/byte";
-  let rows =
-    List.map
-      (fun n ->
-        let m = Migration.prepare (Hpm_workloads.Linpack.source n) in
-        let src = suspend m Hpm_arch.Arch.ultra5 (n / 4) in
-        let _, meas = measure ~repeat:3 m src Hpm_arch.Arch.ultra5 in
-        pr "%-8d %12d %8d %10.4f %10.4f %12.2f %12.2f@." n meas.cs.Cstats.c_data_bytes
-          meas.cs.Cstats.c_blocks meas.collect_s meas.restore_s
-          (meas.collect_s *. 1e9 /. float_of_int meas.cs.Cstats.c_data_bytes)
-          (meas.restore_s *. 1e9 /. float_of_int meas.cs.Cstats.c_data_bytes);
-        (n, meas))
-      Hpm_workloads.Linpack.fig2a_sizes
-  in
-  (* linearity check: time per byte roughly constant across the sweep *)
-  let per_byte =
-    List.map
-      (fun (_, m) -> m.collect_s /. float_of_int m.cs.Cstats.c_data_bytes)
-      rows
-  in
-  let mn = List.fold_left min infinity per_byte
-  and mx = List.fold_left max 0.0 per_byte in
-  pr "@.shape check: collect time is linear in Sum(Di) -> per-byte cost varies %.1fx %s@."
-    (mx /. mn)
-    (if mx /. mn < 2.0 then "(ok: ~constant)" else "(UNEXPECTED)");
-  let blocks = List.map (fun (_, m) -> m.cs.Cstats.c_blocks) rows in
-  pr "shape check: MSR node count constant across sizes: %s@."
-    (if List.for_all (( = ) (List.hd blocks)) blocks then "ok" else "UNEXPECTED")
-
-(* ------------------------------------------------------------------ *)
-(* Figure 2(b): bitonic sweep                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bench_fig2b () =
-  hr "Figure 2(b): bitonic collect & restore time vs number sorted";
-  pr "(one small heap block per tree node: the MSR node count n grows with@.";
-  pr "the input, so collection pays O(n log n) MSRLT searches while@.";
-  pr "restoration pays only O(n) updates)@.@.";
-  pr "%-8s %8s %10s %10s %10s %10s %8s@." "sorted" "blocks" "collect(s)" "restore(s)"
-    "searches" "updates" "col/res";
-  let rows =
-    List.map
-      (fun n ->
-        let m = Migration.prepare (Hpm_workloads.Bitonic.source n) in
-        (* suspend late in construction: most of the tree exists *)
-        let src = suspend m Hpm_arch.Arch.ultra5 (6 * n) in
-        let _, meas = measure ~repeat:3 m src Hpm_arch.Arch.ultra5 in
-        pr "%-8d %8d %10.4f %10.4f %10d %10d %8.2f@." n meas.cs.Cstats.c_blocks
-          meas.collect_s meas.restore_s meas.cs.Cstats.c_searches meas.rs.Cstats.r_updates
-          (meas.collect_s /. meas.restore_s);
-        (n, meas))
-      Hpm_workloads.Bitonic.fig2b_sizes
-  in
-  let first = snd (List.hd rows) and last = snd (List.hd (List.rev rows)) in
-  let r0 = first.collect_s /. first.restore_s
-  and r1 = last.collect_s /. last.restore_s in
-  pr "@.shape check: collect/restore ratio grows with n (%.2f -> %.2f): %s@." r0 r1
-    (if r1 > r0 then "ok" else "borderline (noise at small sizes)");
-  pr "shape check: searches ~ pointers visited, updates = blocks: %s@."
-    (if last.rs.Cstats.r_updates = last.cs.Cstats.c_blocks then "ok" else "UNEXPECTED")
-
-(* ------------------------------------------------------------------ *)
-(* §4.2 complexity decomposition                                       *)
-(* ------------------------------------------------------------------ *)
-
-let bench_complexity () =
-  hr "§4.2 Complexity: Collect = MSRLT_search + encode/copy; Restore = MSRLT_update + decode/copy";
-  pr "%-22s %8s %12s %10s %10s %12s@." "workload" "n" "Sum Di (B)" "searches" "updates"
-    "heap allocs";
-  List.iter
-    (fun (name, src_text, after) ->
-      let m = Migration.prepare src_text in
-      let src = suspend m Hpm_arch.Arch.ultra5 after in
-      let _, meas = measure m src Hpm_arch.Arch.ultra5 in
-      pr "%-22s %8d %12d %10d %10d %12d@." name meas.cs.Cstats.c_blocks
-        meas.cs.Cstats.c_data_bytes meas.cs.Cstats.c_searches meas.rs.Cstats.r_updates
-        meas.rs.Cstats.r_heap_allocs)
-    [
-      ("linpack 400", Hpm_workloads.Linpack.source 400, 100);
-      ("linpack 800", Hpm_workloads.Linpack.source 800, 200);
-      ("bitonic 10000", Hpm_workloads.Bitonic.source 10_000, 60_000);
-      ("bitonic 20000", Hpm_workloads.Bitonic.source 20_000, 120_000);
-      ("listops 2000", Hpm_workloads.Listops.source 2_000, 2_100);
-    ];
-  pr "@.reading: linpack's n and searches stay tiny as data grows (big blocks);@.";
-  pr "bitonic's searches grow with n while updates stay = n.@."
 
 (* ------------------------------------------------------------------ *)
 (* §4.3 execution overhead                                             *)
@@ -351,35 +150,6 @@ let bench_latency () =
   pr "that left a program with no reachable poll at all.@."
 
 (* ------------------------------------------------------------------ *)
-(* Census: one migration per workload in the registry                  *)
-(* ------------------------------------------------------------------ *)
-
-let bench_census () =
-  hr "Workload census: one mid-run migration per registered workload";
-  pr "(dec5000 -> sparc20; 'ok' = combined output equals an unmigrated run)@.@.";
-  pr "%-16s %8s %10s %8s %8s %10s %4s@." "workload" "blocks" "stream B" "frames"
-    "heap" "collect(s)" "ok";
-  List.iter
-    (fun (w : Hpm_workloads.Registry.t) ->
-      let m = Migration.prepare (w.Hpm_workloads.Registry.source w.Hpm_workloads.Registry.default_n) in
-      let expected, _, _ = Migration.run_plain m Hpm_arch.Arch.ultra5 in
-      let src = Migration.start m Hpm_arch.Arch.dec5000 in
-      Hpm_machine.Interp.request_migration_after src 50;
-      match Hpm_machine.Interp.run src with
-      | Hpm_machine.Interp.RPolled _ ->
-          let dst, meas = measure m src Hpm_arch.Arch.sparc20 in
-          (match Hpm_machine.Interp.run dst with
-          | Hpm_machine.Interp.RDone _ ->
-              let out = Hpm_machine.Interp.output src ^ Hpm_machine.Interp.output dst in
-              pr "%-16s %8d %10d %8d %8d %10.4f %4s@." w.Hpm_workloads.Registry.name
-                meas.cs.Cstats.c_blocks meas.stream_bytes meas.cs.Cstats.c_frames
-                meas.rs.Cstats.r_heap_allocs meas.collect_s
-                (if String.equal out expected then "yes" else "NO!")
-          | _ -> pr "%-16s destination did not finish@." w.Hpm_workloads.Registry.name)
-      | _ -> pr "%-16s (finished before poll 50; skipped)@." w.Hpm_workloads.Registry.name)
-    Hpm_workloads.Registry.all
-
-(* ------------------------------------------------------------------ *)
 (* Ablation: pooled allocation (the §4.3 smart-allocation mitigation)  *)
 (* ------------------------------------------------------------------ *)
 
@@ -391,18 +161,18 @@ let bench_ablation () =
     "searches" "table ops";
   let n = 20_000 in
   List.iter
-    (fun (name, src_text) ->
-      let m = Migration.prepare src_text in
-      let src = suspend m Hpm_arch.Arch.ultra5 (6 * n) in
-      let _, meas = measure ~repeat:3 m src Hpm_arch.Arch.ultra5 in
+    (fun (label, name) ->
+      let module P = Hpm_bench.Paper in
+      let r =
+        P.measure ~channel:(Hpm_net.Netsim.loopback ()) ~src:Hpm_arch.Arch.ultra5
+          ~dst:Hpm_arch.Arch.ultra5 name n (6 * n)
+      in
+      let w = Hpm_workloads.Registry.find_exn name in
+      let m = Migration.prepare (w.Hpm_workloads.Registry.source n) in
       let _, _, stats = Migration.run_plain m Hpm_arch.Arch.ultra5 in
-      pr "%-22s %8d %10.4f %10.4f %10d %12d@." name meas.cs.Cstats.c_blocks
-        meas.collect_s meas.restore_s meas.cs.Cstats.c_searches
-        stats.Hpm_machine.Mstats.table_ops)
-    [
-      ("bitonic (naive)", Hpm_workloads.Bitonic.source n);
-      ("bitonic (pooled)", Hpm_workloads.Bitonic_pooled.source n);
-    ];
+      pr "%-22s %8d %10.4f %10.4f %10d %12d@." label r.P.blocks (P.collect_s r)
+        (P.restore_s r) r.P.searches stats.Hpm_machine.Mstats.table_ops)
+    [ ("bitonic (naive)", "bitonic"); ("bitonic (pooled)", "bitonic_pooled") ];
   pr "@.reading: pooling cuts MSR nodes ~100x; collection cost follows,@.";
   pr "confirming the §4.3 advice that allocation policy, not the migration@.";
   pr "machinery, sets the constant factors.@."
@@ -845,19 +615,18 @@ let bench_obs () =
 
 (* ------------------------------------------------------------------ *)
 
+let bench_paper () =
+  let rc = Hpm_bench.Paper.(report (run ())) in
+  if rc <> 0 then exit rc
+
 let all () =
-  bench_het ();
-  bench_table1 ();
-  bench_fig2a ();
-  bench_fig2b ();
-  bench_complexity ();
+  bench_paper ();
   bench_overhead ();
   bench_ablation ();
   bench_latency ();
   bench_faults ();
   bench_recovery ();
   bench_delta ();
-  bench_census ();
   bench_obs ()
 
 (* The machine-readable trajectory: run the deterministic BENCH_v1 suite
@@ -894,50 +663,17 @@ let bench_json () =
   pr "wrote %s (%d entries + %d sched scenarios, generated in %.2fs wall)@."
     path (List.length entries) (List.length sched) (wall +. swall)
 
-(* The standing cluster-churn table: the discrete-event engine at three
-   scales, topped by the seeded 1000-node / 10k-process scenario.  The
-   stats are pure simulation outputs (deterministic); only the wall
-   column varies run to run. *)
-let bench_sched () =
-  hr "cluster churn (discrete-event scheduler, seeded)";
-  let module C = Hpm_sched.Cluster in
-  (* same scenario grid as the BENCH_v1 sched section *)
-  let cases = Hpm_bench.Bench_json.sched_cases in
-  List.iter
-    (fun (label, cfg) ->
-      let t, wall = time (fun () -> C.run (C.create cfg)) in
-      pr "%-9s nodes=%-5d procs=%-6d %a  (%.2fs wall)@." label cfg.C.c_nodes
-        cfg.C.c_procs C.pp_stats (C.stats t) wall)
-    cases
-
-(* CI smoke run: the fault-tolerance and recovery tables plus the
-   all-workload census, at small sizes — finishes in well under a
-   minute. *)
-let quick () =
-  bench_faults ();
-  bench_recovery ();
-  bench_delta ();
-  bench_census ();
-  bench_obs ()
-
 let () =
   match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "het" -> bench_het ()
-  | "table1" -> bench_table1 ()
-  | "fig2a" -> bench_fig2a ()
-  | "fig2b" -> bench_fig2b ()
-  | "complexity" -> bench_complexity ()
+  | "paper" -> bench_paper ()
   | "overhead" -> bench_overhead ()
   | "ablation" -> bench_ablation ()
-  | "census" -> bench_census ()
   | "latency" -> bench_latency ()
   | "faults" -> bench_faults ()
   | "recovery" -> bench_recovery ()
   | "delta" -> bench_delta ()
   | "obs" -> bench_obs ()
   | "json" -> bench_json ()
-  | "sched" -> bench_sched ()
-  | "quick" -> quick ()
   | "all" -> all ()
   | other ->
       Format.eprintf "unknown benchmark %s@." other;

@@ -56,6 +56,31 @@ let parse_phase flag = function
             s;
           exit 1)
 
+(* Start [m] on [arch] and run it to the (K+1)-th poll.  A process that
+   finishes first prints its output and "; process finished before
+   [what]", and gives [None]. *)
+let run_to_poll m arch ~after ~what =
+  let p = Migration.start m arch in
+  Hpm_machine.Interp.request_migration_after p after;
+  match Hpm_machine.Interp.run p with
+  | Hpm_machine.Interp.RPolled _ -> Some p
+  | Hpm_machine.Interp.RDone _ ->
+      print_string (Hpm_machine.Interp.output p);
+      Fmt.pr "; process finished before %s@." what;
+      None
+  | Hpm_machine.Interp.RFuel -> assert false
+
+(* Run the surviving copy to completion and print its output (exit 0),
+   or report that it did not finish [after] (exit 2). *)
+let run_survivor interp ~after =
+  match Hpm_machine.Interp.run interp with
+  | Hpm_machine.Interp.RDone _ ->
+      print_string (Hpm_machine.Interp.output interp);
+      0
+  | _ ->
+      Fmt.epr "hpmrun: process did not run to completion after %s@." after;
+      2
+
 (* Print the handoff trace and outcome, then [pre] (the output released
    before the handoff), then finish the surviving copy and print its
    output.  [p] is the (suspended) source interpreter. *)
@@ -73,27 +98,14 @@ let conclude_handoff m p (res : Handoff.result) ~pre ~report ~show_net =
         Fmt.pr "; Tx over 100Mb Ethernet: %.4f s@." (tx (Netsim.ethernet_100 ())))
   | _ -> ());
   print_string pre;
-  let survivor = Handoff.survivor m p res in
-  match Hpm_machine.Interp.run survivor with
-  | Hpm_machine.Interp.RDone _ ->
-      print_string (Hpm_machine.Interp.output survivor);
-      0
-  | _ ->
-      Fmt.epr "hpmrun: process did not run to completion after the handoff@.";
-      2
+  run_survivor (Handoff.survivor m p res) ~after:"the handoff"
 
 (* Run to the poll-point on the source, hand off under the two-phase
    protocol, then finish the surviving copy and print its output. *)
 let run_handoff m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net =
-  let p = Migration.start m src_arch in
-  Hpm_machine.Interp.request_migration_after p after;
-  match Hpm_machine.Interp.run p with
-  | Hpm_machine.Interp.RDone _ ->
-      print_string (Hpm_machine.Interp.output p);
-      Fmt.pr "; process finished before the migration triggered@.";
-      0
-  | Hpm_machine.Interp.RFuel -> assert false
-  | Hpm_machine.Interp.RPolled _ ->
+  match run_to_poll m src_arch ~after ~what:"the migration triggered" with
+  | None -> 0
+  | Some p ->
       let res = Handoff.execute ~config ~channel ~epoch:1 m p dst_arch in
       conclude_handoff m p res ~pre:(Hpm_machine.Interp.output p) ~report ~show_net
 
@@ -102,15 +114,9 @@ let run_handoff m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net 
    two-phase protocol carrying only the final delta on the wire. *)
 let run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net
     ~st ~proc ~rounds ~threshold =
-  let p = Migration.start m src_arch in
-  Hpm_machine.Interp.request_migration_after p after;
-  match Hpm_machine.Interp.run p with
-  | Hpm_machine.Interp.RDone _ ->
-      print_string (Hpm_machine.Interp.output p);
-      Fmt.pr "; process finished before the migration triggered@.";
-      0
-  | Hpm_machine.Interp.RFuel -> assert false
-  | Hpm_machine.Interp.RPolled _ -> (
+  match run_to_poll m src_arch ~after ~what:"the migration triggered" with
+  | None -> 0
+  | Some p -> (
       let epoch0 =
         match Store.latest_manifest st ~proc with
         | Some mf -> mf.Store.mf_epoch + 1
@@ -139,13 +145,7 @@ let run_precopy m ~src_arch ~dst_arch ~after ~channel ~config ~report ~show_net
       | Precopy.Round_link_failed { rl_round; rl_reason; _ } -> (
           Fmt.pr "; pre-copy round %d failed (%s); source copy resumes locally@."
             rl_round rl_reason;
-          match Hpm_machine.Interp.run p with
-          | Hpm_machine.Interp.RDone _ ->
-              print_string (Hpm_machine.Interp.output p);
-              0
-          | _ ->
-              Fmt.epr "hpmrun: process did not run to completion after the failed round@.";
-              2))
+          run_survivor p ~after:"the failed round"))
 
 let run file from_ to_ after report show_net loss corrupt
     max_retries net_seed crash_src crash_dst drop_ack drop_probe ack_deadline
@@ -340,17 +340,11 @@ let run file from_ to_ after report show_net loss corrupt
         | None ->
             Fmt.epr "hpmrun: no recoverable snapshot for %s in the store@." proc;
             3
-        | Some (interp, rstats, mf) -> (
+        | Some (interp, rstats, mf) ->
             if report || delta then
               Fmt.pr "; restored store epoch %d@.; %a@." mf.Store.mf_epoch
                 Hpm_core.Cstats.pp_restore rstats;
-            match Hpm_machine.Interp.run interp with
-            | Hpm_machine.Interp.RDone _ ->
-                print_string (Hpm_machine.Interp.output interp);
-                0
-            | _ ->
-                Fmt.epr "hpmrun: process did not run to completion after the restore@.";
-                2))
+            run_survivor interp ~after:"the restore")
     | Some st when standby > 0 -> (
         (* continuous delta replication: stream wgen-dirty deltas to the
            store and N warm standbys each epoch; --promote fails over to
@@ -379,15 +373,9 @@ let run file from_ to_ after report show_net loss corrupt
                  below through the two-phase machinery *)
               None
         in
-        let p = Migration.start m src_arch in
-        Hpm_machine.Interp.request_migration_after p after;
-        match Hpm_machine.Interp.run p with
-        | Hpm_machine.Interp.RDone _ ->
-            print_string (Hpm_machine.Interp.output p);
-            Fmt.pr "; process finished before replication started@.";
-            0
-        | Hpm_machine.Interp.RFuel -> assert false
-        | Hpm_machine.Interp.RPolled _ -> (
+        match run_to_poll m src_arch ~after ~what:"replication started" with
+        | None -> 0
+        | Some p -> (
             let journal =
               match journal_file with
               | Some path -> Some (Hpm_store.Journal.open_journal path)
@@ -403,17 +391,6 @@ let run file from_ to_ after report show_net loss corrupt
                   (fun e -> Fmt.pr "; %a@." Replica.pp_event e)
                   (Replica.events r)
             in
-            let finish interp =
-              match Hpm_machine.Interp.run interp with
-              | Hpm_machine.Interp.RDone _ ->
-                  print_string (Hpm_machine.Interp.output interp);
-                  0
-              | _ ->
-                  Fmt.epr
-                    "hpmrun: process did not run to completion after the \
-                     failover@.";
-                  2
-            in
             let do_promote ~why =
               let pm = Replica.promote r in
               print_events ();
@@ -423,7 +400,7 @@ let run file from_ to_ after report show_net loss corrupt
                 why pm.Replica.pm_sub pm.Replica.pm_epoch pm.Replica.pm_catchup
                 pm.Replica.pm_incarnation;
               print_string (Replica.released_output r);
-              finish pm.Replica.pm_interp
+              run_survivor pm.Replica.pm_interp ~after:"the failover"
             in
             let crashed ph =
               if promote then
@@ -493,15 +470,9 @@ let run file from_ to_ after report show_net loss corrupt
     | Some st when to_ = None -> (
         (* incremental snapshot mode: run to the poll, commit, stop *)
         let arch = Hpm_arch.Arch.by_name_exn from_ in
-        let p = Migration.start m arch in
-        Hpm_machine.Interp.request_migration_after p after;
-        match Hpm_machine.Interp.run p with
-        | Hpm_machine.Interp.RDone _ ->
-            print_string (Hpm_machine.Interp.output p);
-            Fmt.pr "; process finished before the snapshot point@.";
-            0
-        | Hpm_machine.Interp.RFuel -> assert false
-        | Hpm_machine.Interp.RPolled _ ->
+        match run_to_poll m arch ~after ~what:"the snapshot point" with
+        | None -> 0
+        | Some p ->
             let epoch =
               match Store.latest_manifest st ~proc with
               | Some mf -> mf.Store.mf_epoch + 1

@@ -110,6 +110,19 @@ type entry = {
 
 let err fmt = Fmt.kstr failwith fmt
 
+(* Run [f] on a fresh temp-dir path (not yet created) and remove
+   whatever it leaves there. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  let rec rm_rf path =
+    if Sys.is_directory path then (
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path)
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with _ -> ()) (fun () -> f dir)
+
 let suspend (m : Migration.migratable) arch after =
   let p = Migration.start m arch in
   Hpm_machine.Interp.request_migration_after p after;
@@ -180,20 +193,7 @@ let run_case (c : case) : entry =
   let ( rep_final_bytes, rep_full_bytes, rep_lag1_bytes, rep_lag3_bytes,
         rep_ship_s, h, q_rows, q_top_churn_s, q_dedup_s, q_handoff_p99_s,
         q_gc_candidates_s, q_promotions_s ) =
-    let dir =
-      let f = Filename.temp_file "hpmbench_rep" "" in
-      Sys.remove f;
-      f
-    in
-    let rec rm_rf path =
-      if Sys.is_directory path then (
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path)
-      else Sys.remove path
-    in
-    Fun.protect
-      ~finally:(fun () -> try rm_rf dir with _ -> ())
-      (fun () ->
+    with_temp_dir "hpmbench_rep" (fun dir ->
         let st = Hpm_store.Store.open_store dir in
         let jpath = Filename.concat dir "fleet.hpmj" in
         let journal = Hpm_store.Journal.open_journal jpath in
@@ -362,8 +362,9 @@ type sched_entry = {
   s_journal_bytes : int;
 }
 
-(** The standing scenarios of [bench sched]: two warm-up sizes and the
-    full ROADMAP churn target. *)
+(** The standing churn scenarios of the [sched] section: two warm-up
+    sizes and the full ROADMAP churn target.  [bench json] prints one
+    line per scenario. *)
 let sched_cases : (string * Hpm_sched.Cluster.config) list =
   let module C = Hpm_sched.Cluster in
   [
@@ -379,20 +380,7 @@ let sched_cases : (string * Hpm_sched.Cluster.config) list =
 let run_sched_case ((name, cfg) : string * Hpm_sched.Cluster.config) :
     sched_entry =
   let module C = Hpm_sched.Cluster in
-  let dir =
-    let f = Filename.temp_file "hpmbench_sched" "" in
-    Sys.remove f;
-    f
-  in
-  let rec rm_rf path =
-    if Sys.is_directory path then (
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path)
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () -> try rm_rf dir with _ -> ())
-    (fun () ->
+  with_temp_dir "hpmbench_sched" (fun dir ->
       Unix.mkdir dir 0o755;
       let journal =
         Hpm_store.Journal.open_journal (Filename.concat dir "fleet.hpmj")

@@ -428,12 +428,12 @@ let apply_handoff_outcome t (p : proc) (dst : node) ~epoch ?delta
               rehome p alt interp;
               p.p_migrations <- p.p_migrations + 1;
               p.p_bytes_restored <- p.p_bytes_restored + rstats.Cstats.r_data_bytes;
-              p.p_state <-
-                Blocked_until
-                  (t.now +. q.Handoff.q_time_s +. ts.Transport.t_time_s +. extra_s);
+              let blocked_s = q.Handoff.q_time_s +. ts.Transport.t_time_s +. extra_s in
+              p.p_state <- Blocked_until (t.now +. blocked_s);
               log t
                 (Journal.entry ~ts:t.now ~ev:Journal.Requeued ~proc:p.p_name
-                   ~src:src.n_name ~dst:alt.n_name ~note:("dead " ^ dst.n_name) ());
+                   ~src:src.n_name ~dst:alt.n_name ~retries:ts.Transport.t_retries
+                   ~time_s:blocked_s ~note:("dead " ^ dst.n_name) ());
               p.p_cache <- Snapshot.new_cache ();
               checkpoint_now t p
           | Transport.Aborted _ ->

@@ -456,18 +456,33 @@ let three_nodes () =
   let channel = Netsim.ethernet_100 () in
   (Sched.create ~channel [ a; b; c ], a, b, c, channel)
 
+(* The destination dies after restoring, so the retained checkpoint is
+   re-queued to the third node.  The Requeued entry carries the re-queue
+   transfer's retries and the whole time the process is blocked: the
+   failed handoff plus that transfer.  Seed 3 at 50% loss makes the
+   re-queue transfer retry. *)
 let test_sched_requeues_on_dest_crash () =
-  let sim, a, b, c, channel = three_nodes () in
-  Netsim.set_node_faults channel
-    (Some (Netsim.node_faults ~crash_dest_after:Netsim.Ph_restore ()));
-  let p = Sched.spawn sim a "victim" (prepare (Hpm_workloads.Nqueens.source 7)) in
-  Sched.request_migration sim p b;
-  let _ = Sched.run sim in
-  check_string "output exactly once" "40\n" (Sched.output p);
-  check_int "one requeue" 1 (Sched.count sim p Journal.Requeued);
-  check_bool "landed on the third node" true (p.Sched.p_node == c);
-  check_bool "requeue event logged" true
-    (List.exists (fun e -> e.Journal.j_ev = Journal.Requeued) (Sched.events sim))
+  List.iter
+    (fun (loss, seed) ->
+      let sim, a, b, c, channel = three_nodes () in
+      Netsim.set_faults channel
+        (Some (Netsim.fault_model ~loss_rate:loss ~corrupt_rate:0.0 ~seed ()));
+      Netsim.set_node_faults channel
+        (Some (Netsim.node_faults ~crash_dest_after:Netsim.Ph_restore ()));
+      let p = Sched.spawn sim a "victim" (prepare (Hpm_workloads.Nqueens.source 7)) in
+      Sched.request_migration sim p b;
+      let _ = Sched.run sim in
+      check_string "output exactly once" "40\n" (Sched.output p);
+      check_int "one requeue" 1 (Sched.count sim p Journal.Requeued);
+      check_bool "landed on the third node" true (p.Sched.p_node == c);
+      let entry ev = List.find (fun e -> e.Journal.j_ev = ev) (Sched.events sim) in
+      let rq = entry Journal.Requeued and fin = entry Journal.Finished in
+      check_bool "requeue transfer retries recorded" (loss > 0.0) (rq.Journal.j_retries > 0);
+      check_bool "requeue time recorded" true
+        (rq.Journal.j_time_s > Handoff.default_config.Handoff.ack_deadline_s);
+      check_bool "blocked for the recorded time" true
+        (fin.Journal.j_ts >= rq.Journal.j_ts +. rq.Journal.j_time_s))
+    [ (0.0, 1); (0.5, 3) ]
 
 let test_sched_source_crash_recovers_locally () =
   let sim, a, b, _, channel = three_nodes () in

@@ -41,6 +41,7 @@ let () =
       ("obs", Test_obs.suite);
       ("workloads", Test_workloads.suite);
       ("bench-json", Test_bench_json.suite);
+      ("paper", Test_paper.suite);
       ("query", Test_query.suite);
       ("cluster", Test_cluster.suite);
     ]
